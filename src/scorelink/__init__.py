@@ -4,7 +4,6 @@ customer and non-customer subpopulations via parametric score links."""
 __version__ = "0.1.0"
 
 from .dataset import (
-    CreditRecord,
     LabeledSample,
     SplitPlan,
     draw_split,
@@ -54,7 +53,6 @@ from .logistic import (
 __all__ = [
     "AffineLink",
     "ConfusionCounts",
-    "CreditRecord",
     "DataError",
     "ErrorReport",
     "FitConfig",

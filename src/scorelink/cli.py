@@ -41,6 +41,35 @@ from .logistic import FitConfig, LogisticParams, fit_mle, score
 
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 2, 3, 4
 
+# Config keys each subcommand reads, with their defaults; a --config file
+# may hold only these keys, and each has a flag of the same name.
+_FIT = FitConfig()
+_SWEEP = ExperimentConfig()
+_FIT_KEYS = {
+    "target_column": DEFAULT_TARGET_COLUMN,
+    "ridge": _FIT.ridge,
+    "max_iterations": _FIT.max_iterations,
+    "tolerance": _FIT.gradient_tolerance,
+}
+_SPLIT_KEYS = {"target_column": DEFAULT_TARGET_COLUMN, "split_column": DEFAULT_SPLIT_COLUMN}
+_EXPERIMENT_KEYS = {
+    **_SPLIT_KEYS,
+    "seed": _SWEEP.seed,
+    "sizes": _SWEEP.learning_sizes,
+    "repetitions": _SWEEP.repetitions,
+    "models": [kind.value for kind in _SWEEP.models],
+    "threshold": _SWEEP.threshold,
+    "ridge": _SWEEP.fit.ridge,
+    "jobs": 1,
+}
+_ROC_KEYS = {
+    **_SPLIT_KEYS,
+    "n": _SWEEP.roc_learning_size,
+    "seed": _SWEEP.seed,
+    "threshold": _SWEEP.threshold,
+    "ridge": _SWEEP.fit.ridge,
+}
+
 
 class _UsageError(Exception):
     pass
@@ -159,10 +188,19 @@ def _merged(args, defaults: dict) -> dict:
 
 def _fit_config(values: dict) -> FitConfig:
     return FitConfig(
-        max_iterations=int(values.get("max_iterations", 100)),
-        gradient_tolerance=float(values.get("tolerance", 1e-8)),
-        ridge=float(values.get("ridge", 1e-8)),
+        max_iterations=int(values.get("max_iterations", _FIT.max_iterations)),
+        gradient_tolerance=float(values.get("tolerance", _FIT.gradient_tolerance)),
+        ridge=float(values["ridge"]),
     )
+
+
+def _load_params(path: str) -> LogisticParams:
+    try:
+        return LogisticParams.load(path)
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        raise DataError(f"bad parameter file {path}: {exc}") from None
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -174,8 +212,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_split(args) -> int:
-    values = _merged(args, {"target_column": DEFAULT_TARGET_COLUMN,
-                            "split_column": DEFAULT_SPLIT_COLUMN})
+    values = _merged(args, _SPLIT_KEYS)
     sample = load_csv(args.data, values["target_column"])
     source, target = split_by_account_status(sample, values["split_column"])
     out = Path(args.out)
@@ -187,8 +224,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    values = _merged(args, {"target_column": DEFAULT_TARGET_COLUMN, "ridge": 1e-8,
-                            "max_iterations": 100, "tolerance": 1e-8})
+    values = _merged(args, _FIT_KEYS)
     sample = load_csv(args.data, values["target_column"])
     report = fit_mle(sample, _fit_config(values))
     payload = report.params.to_dict()
@@ -202,8 +238,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    values = _merged(args, {"target_column": DEFAULT_TARGET_COLUMN, "ridge": 1e-8,
-                            "max_iterations": 100, "tolerance": 1e-8})
+    values = _merged(args, _FIT_KEYS)
     kind = LinkModelKind(args.model)
     learning = load_csv(args.learning, values["target_column"])
     config = _fit_config(values)
@@ -215,25 +250,15 @@ def _cmd_transfer(args) -> int:
     else:
         if not args.source_params:
             raise _UsageError(f"{kind.value} requires --source-params")
-        try:
-            source = LogisticParams.load(args.source_params)
-        except FileNotFoundError:
-            raise DataError(f"no such file: {args.source_params}") from None
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"bad parameter file {args.source_params}: {exc}") from None
-        fit = estimate_transition(kind, source, learning, config)
+        fit = estimate_transition(kind, _load_params(args.source_params), learning, config)
     _emit(fit.to_dict(), args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    values = _merged(args, {"target_column": DEFAULT_TARGET_COLUMN, "threshold": 0.5})
-    try:
-        params = LogisticParams.load(args.params)
-    except FileNotFoundError:
-        raise DataError(f"no such file: {args.params}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise DataError(f"bad parameter file {args.params}: {exc}") from None
+    values = _merged(args, {"target_column": DEFAULT_TARGET_COLUMN,
+                            "threshold": _SWEEP.threshold})
+    params = _load_params(args.params)
     sample = load_csv(args.data, values["target_column"])
     threshold = float(values["threshold"])
     counts = confusion(score(params, sample.features), sample.labels, threshold)
@@ -249,21 +274,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_values(args) -> dict:
-    return _merged(args, {
-        "target_column": DEFAULT_TARGET_COLUMN,
-        "split_column": DEFAULT_SPLIT_COLUMN,
-        "seed": 0,
-        "sizes": "50,100,150,200",
-        "repetitions": 50,
-        "models": ",".join(k.value for k in LinkModelKind),
-        "threshold": 0.5,
-        "ridge": 1e-8,
-        "jobs": 1,
-        "n": 200,
-    })
-
-
 def _parse_list(value, caster) -> tuple:
     if isinstance(value, (list, tuple)):
         return tuple(caster(v) for v in value)
@@ -271,7 +281,7 @@ def _parse_list(value, caster) -> tuple:
 
 
 def _cmd_experiment(args) -> int:
-    values = _experiment_values(args)
+    values = _merged(args, _EXPERIMENT_KEYS)
     sample = load_csv(args.data, values["target_column"])
     source, target = split_by_account_status(sample, values["split_column"])
     config = ExperimentConfig(
@@ -280,7 +290,7 @@ def _cmd_experiment(args) -> int:
         seed=int(values["seed"]),
         models=tuple(LinkModelKind(m) for m in _parse_list(values["models"], str)),
         threshold=float(values["threshold"]),
-        fit=FitConfig(ridge=float(values["ridge"])),
+        fit=_fit_config(values),
     )
     result = run_experiment(source, target, config, jobs=int(values["jobs"]))
     write_experiment_outputs(
@@ -292,19 +302,20 @@ def _cmd_experiment(args) -> int:
             "target_records": target.n_records,
         },
     )
-    emit_roc_suite(source, target, config, out_dir=args.out)
+    emit_roc_suite(source, target, config, out_dir=args.out,
+                   source_params=result.source_fit.params)
     print(json.dumps({"out": str(args.out), "failures": result.failures}))
     return 0
 
 
 def _cmd_roc(args) -> int:
-    values = _experiment_values(args)
+    values = _merged(args, _ROC_KEYS)
     sample = load_csv(args.data, values["target_column"])
     source, target = split_by_account_status(sample, values["split_column"])
     config = ExperimentConfig(
         seed=int(values["seed"]),
         threshold=float(values["threshold"]),
-        fit=FitConfig(ridge=float(values["ridge"])),
+        fit=_fit_config(values),
     )
     curves = emit_roc_suite(
         source, target, config, learning_size=int(values["n"]), out_dir=args.out

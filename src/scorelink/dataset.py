@@ -34,22 +34,6 @@ DEFAULT_SPLIT_COLUMN = "laufkont"
 
 
 @dataclass(frozen=True)
-class CreditRecord:
-    """One applicant: a numeric feature vector and a binary repayment label."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1:
-            raise DataError("record features must be a 1-d vector")
-        if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label!r}")
-        object.__setattr__(self, "features", feats)
-
-
-@dataclass(frozen=True)
 class LabeledSample:
     """A feature matrix plus binary labels for one subpopulation.
 
@@ -92,13 +76,6 @@ class LabeledSample:
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    def record(self, index: int) -> CreditRecord:
-        return CreditRecord(self.features[index], int(self.labels[index]))
-
-    @property
-    def records(self) -> list[CreditRecord]:
-        return [self.record(i) for i in range(self.n_records)]
-
     def class_counts(self) -> tuple[int, int]:
         """(count of label 0, count of label 1)."""
         ones = int(self.labels.sum())
@@ -111,19 +88,6 @@ class LabeledSample:
             self.feature_names,
             self.tag if tag is None else tag,
         )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: list[CreditRecord],
-        feature_names: tuple[str, ...],
-        tag: str = POOLED_TAG,
-    ) -> "LabeledSample":
-        if not records:
-            raise DataError("empty dataset")
-        feats = np.vstack([r.features for r in records])
-        labels = np.array([r.label for r in records])
-        return cls(feats, labels, feature_names, tag)
 
 
 @dataclass(frozen=True)
@@ -147,8 +111,8 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
 
     The target column supplies the binary label and is removed from the
     feature set. Raises DataError for a missing file, a missing target
-    column, an unparseable cell (reported with row and column), or an
-    empty table.
+    column, an unparseable or non-finite cell (reported with row and
+    column), or an empty table.
     """
     path = Path(path)
     if not path.exists():
@@ -176,8 +140,10 @@ def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
 
     rows = []
     labels = []
+    blank = []  # reader indices of skipped empty lines
     for i, row in enumerate(reader):
         if not row:
+            blank.append(i)
             continue
         if len(row) != len(header):
             raise DataError(f"{origin}: row {i + 2} has {len(row)} cells, expected {len(header)}")
@@ -198,7 +164,18 @@ def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
     if not rows:
         raise DataError(f"{origin}: empty dataset (header only)")
     feature_names = tuple(h for k, h in enumerate(header) if k != target_idx)
-    return LabeledSample(np.array(rows), np.array(labels), feature_names, POOLED_TAG)
+    features = np.array(rows)
+    del rows  # the parsed rows are the peak memory of loading; the mask comes after
+    finite = np.isfinite(features)
+    if not finite.all():
+        k, j = np.argwhere(~finite)[0]
+        value = features[k, j]
+        for i in blank:  # k becomes the reader index of the k-th data row
+            if i <= k:
+                k += 1
+        raise DataError(f"{origin}: cell at row {k + 2}, column "
+                        f"{feature_names[j]!r} is not finite: {value}")
+    return LabeledSample(features, np.array(labels), feature_names, POOLED_TAG)
 
 
 def write_csv(
@@ -228,7 +205,7 @@ def split_by_account_status(
 
     The split column is removed from the predictors of both outputs: it is
     constant on the non-customer side, so its coefficient could never be
-    estimated from a target sample.
+    estimated from a target sample. Split codes must be integers >= 1.
     """
     if split_column not in sample.feature_names:
         raise DataError(f"split column {split_column!r} not among features")
@@ -237,6 +214,12 @@ def split_by_account_status(
     if np.any(values < 1):
         bad = int(np.argmax(values < 1))
         raise DataError(f"split column {split_column!r} has value below 1 at record {bad}")
+    fractional = values != np.floor(values)
+    if np.any(fractional):
+        bad = int(np.argmax(fractional))
+        raise DataError(
+            f"split column {split_column!r} has non-integer value {values[bad]} at record {bad}"
+        )
 
     keep = [j for j in range(sample.dimension) if j != col]
     names = tuple(n for j, n in enumerate(sample.feature_names) if j != col)

@@ -288,20 +288,23 @@ def emit_roc_suite(
     config: ExperimentConfig = ExperimentConfig(),
     learning_size: int | None = None,
     out_dir: str | Path | None = None,
+    source_params: LogisticParams | None = None,
 ) -> dict[str, RocCurve]:
     """One ROC curve per model on the repetition-0 split at ``learning_size``.
 
-    When ``out_dir`` is given, writes one ``roc_<model>.csv`` per model and
-    the combined ``roc_all.svg``.
+    ``source_params`` is the source fit to transfer; when omitted, the
+    source is fitted here. When ``out_dir`` is given, writes one
+    ``roc_<model>.csv`` per model and the combined ``roc_all.svg``.
     """
     n = config.roc_learning_size if learning_size is None else learning_size
-    source_fit = fit_mle(source, config.fit)
+    if source_params is None:
+        source_params = fit_mle(source, config.fit).params
     plan = SplitPlan(n, max(config.repetitions, 1), config.seed)
     learning, test = draw_split(target, plan, 0)
 
     curves = {}
     for kind in config.models:
-        fit = _fit_model(kind, source, source_fit.params, learning, config.fit)
+        fit = _fit_model(kind, source, source_params, learning, config.fit)
         scores = score(fit.target_params, test.features)
         curves[kind.value] = roc(scores, test.labels)
 

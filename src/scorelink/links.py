@@ -18,9 +18,11 @@ M6        d + 1 (c, diagonal L)   none
 M7        d + 1 (refit)           pooled source + learning
 ========  ======================  =========================
 
-M1..M6 maximize the learning-sample likelihood over exactly their free
-parameters, holding the source fit fixed; estimation runs on the
-reparameterized design (columns ``b_j * x_j``) so the free parameters
+M1..M6 are the grid {shift c fixed at 0 | free} x {scale fixed at I |
+one common lambda | one L_j per coefficient}, written down once as
+``_GRID``. They maximize the learning-sample likelihood over exactly
+their free parameters, holding the source fit fixed; estimation runs on
+the reparameterized design (columns ``b_j * x_j``) so the free parameters
 enter as ordinary logistic coefficients. M7 ignores the link structure
 and refits on the pooled rows. All optimizations warm-start at the
 identity link and share the Newton contract of
@@ -37,10 +39,10 @@ from enum import Enum
 import numpy as np
 
 from .dataset import POOLED_TAG, LabeledSample
-from .exceptions import NumericalError
 from .logistic import (
     FitConfig,
     LogisticParams,
+    _require_two_classes,
     fit_mle,
     log_likelihood,
     maximize_logistic,
@@ -62,15 +64,22 @@ class LinkModelKind(Enum):
 
     def free_parameter_count(self, dimension: int) -> int:
         """Number of parameters the estimator optimizes for this kind."""
-        return {
-            LinkModelKind.M1: 0,
-            LinkModelKind.M2: 1,
-            LinkModelKind.M3: 1,
-            LinkModelKind.M4: 2,
-            LinkModelKind.M5: dimension,
-            LinkModelKind.M6: dimension + 1,
-            LinkModelKind.M7: dimension + 1,
-        }[self]
+        if self is LinkModelKind.M7:
+            return dimension + 1  # the pooled refit estimates every parameter
+        shift_free, scale = _GRID[self]
+        return int(shift_free) + {"fixed": 0, "common": 1, "per-coefficient": dimension}[scale]
+
+
+# kind -> (is the shift c free?, scale L: "fixed" = I, "common" = lambda * I
+# or "per-coefficient" = diag(L_1, ..., L_d)); M7 is not a link
+_GRID = {
+    LinkModelKind.M1: (False, "fixed"),
+    LinkModelKind.M2: (False, "common"),
+    LinkModelKind.M3: (True, "fixed"),
+    LinkModelKind.M4: (True, "common"),
+    LinkModelKind.M5: (False, "per-coefficient"),
+    LinkModelKind.M6: (True, "per-coefficient"),
+}
 
 
 @dataclass(frozen=True)
@@ -155,14 +164,6 @@ def compose(source: LogisticParams, transition: TransitionParams) -> LogisticPar
     )
 
 
-def _single_class_guard(learning: LabeledSample, config: FitConfig) -> None:
-    zeros, ones = learning.class_counts()
-    if (zeros == 0 or ones == 0) and config.ridge == 0.0:
-        raise NumericalError(
-            "degenerate labels: learning sample contains a single class and ridge = 0"
-        )
-
-
 def estimate_transition(
     kind: LinkModelKind,
     source: LogisticParams,
@@ -171,10 +172,10 @@ def estimate_transition(
 ) -> TransferFit:
     """Estimate the transition parameters of one link model (M1..M6).
 
-    M1 performs no optimization and ignores the learning sample's content;
-    the other kinds run Newton over their free parameters, warm-started at
-    the identity link. Non-convergence is reported through the flag, never
-    raised.
+    A model with no free parameters (M1) performs no optimization and
+    ignores the learning sample's content; the other kinds run Newton over
+    their free parameters, warm-started at the identity link.
+    Non-convergence is reported through the flag, never raised.
     """
     if kind is LinkModelKind.M7:
         raise ValueError("M7 is a pooled refit; use fit_m7")
@@ -184,81 +185,60 @@ def estimate_transition(
             f"learning sample dimension {learning.dimension} does not match "
             f"{d} source coefficients"
         )
+    shift_free, scale_kind = _GRID[kind]
 
-    if kind is LinkModelKind.M1:
-        transition = TransitionParams.identity(d)
-        target = compose(source, transition)
-        return TransferFit(
-            kind=kind,
-            transition=transition,
-            target_params=target,
-            log_likelihood=log_likelihood(target, learning),
-            converged=True,
-        )
-
-    _single_class_guard(learning, config)
-
-    scaled = learning.features * source.coefficients  # columns b_j * x_j
-    summed = scaled.sum(axis=1)  # b @ x per row
-    ones_col = np.ones(learning.n_records)
-    free = np.abs(source.coefficients) > IDENTIFIABILITY_EPS
-    pinned = tuple(int(j) for j in np.flatnonzero(~free))
-
-    offset = np.full(learning.n_records, source.intercept)
-    if kind is LinkModelKind.M2:
-        design, center = summed[:, None], np.array([1.0])
-    elif kind is LinkModelKind.M3:
-        design, center = ones_col[:, None], np.array([0.0])
-        offset += summed  # the whole source score is fixed; only c moves
-    elif kind is LinkModelKind.M4:
-        design = np.column_stack([ones_col, summed])
-        center = np.array([0.0, 1.0])
-    elif kind is LinkModelKind.M5:
-        design = scaled[:, free]
-        center = np.ones(design.shape[1])
-        offset += scaled[:, ~free].sum(axis=1)  # pinned scales stay at 1
-    elif kind is LinkModelKind.M6:
-        design = np.column_stack([ones_col, scaled[:, free]])
-        center = np.concatenate(([0.0], np.ones(design.shape[1] - 1)))
-        offset += scaled[:, ~free].sum(axis=1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown link model {kind}")
-
-    result = maximize_logistic(
-        design,
-        learning.labels,
-        offset=offset,
-        penalty=np.full(design.shape[1], config.ridge),
-        center=center,
-        start=center,
-        max_iterations=config.max_iterations,
-        gradient_tolerance=config.gradient_tolerance,
-    )
-
-    if kind is LinkModelKind.M2:
-        transition = TransitionParams(0.0, np.full(d, result.x[0]))
-    elif kind is LinkModelKind.M3:
-        transition = TransitionParams(result.x[0], np.ones(d))
-    elif kind is LinkModelKind.M4:
-        transition = TransitionParams(result.x[0], np.full(d, result.x[1]))
+    # Each identifiable column b_j * x_j with its own scale enters the
+    # design; a common lambda multiplies their row sum, the source score
+    # minus b0. Columns whose scale stays 1 join b0 in the offset.
+    n = learning.n_records
+    scaled = learning.features * source.coefficients
+    free = np.zeros(d, dtype=bool)
+    columns = [np.ones((n, 1))] if shift_free else []
+    offset = np.full(n, source.intercept)
+    if scale_kind == "fixed":
+        offset += scaled.sum(axis=1)
+    elif scale_kind == "common":
+        columns.append(scaled.sum(axis=1)[:, None])
     else:
-        scale = np.ones(d)
-        if kind is LinkModelKind.M5:
-            scale[free] = result.x
-            shift = 0.0
-        else:
-            scale[free] = result.x[1:]
-            shift = result.x[0]
-        transition = TransitionParams(shift, scale)
+        free = np.abs(source.coefficients) > IDENTIFIABILITY_EPS
+        columns.append(scaled[:, free])
+        offset += scaled[:, ~free].sum(axis=1)
 
+    x, converged = np.zeros(0), True
+    if columns:  # every kind but M1
+        _require_two_classes(learning, config.ridge)
+        design = np.hstack(columns)
+        center = np.ones(design.shape[1])
+        center[: int(shift_free)] = 0.0
+        result = maximize_logistic(
+            design,
+            learning.labels,
+            offset=offset,
+            penalty=np.full(design.shape[1], config.ridge),
+            center=center,
+            start=center,
+            max_iterations=config.max_iterations,
+            gradient_tolerance=config.gradient_tolerance,
+        )
+        x, converged = result.x, result.converged
+
+    scale = np.ones(d)
+    if scale_kind == "common":
+        scale[:] = x[-1]
+    else:
+        scale[free] = x[int(shift_free):]
+    transition = TransitionParams(x[0] if shift_free else 0.0, scale)
+    pinned = ()
+    if scale_kind == "per-coefficient":
+        pinned = tuple(int(j) for j in np.flatnonzero(~free))
     target = compose(source, transition)
     return TransferFit(
         kind=kind,
         transition=transition,
         target_params=target,
         log_likelihood=log_likelihood(target, learning),
-        converged=result.converged,
-        unidentifiable=pinned if kind in (LinkModelKind.M5, LinkModelKind.M6) else (),
+        converged=converged,
+        unidentifiable=pinned,
     )
 
 

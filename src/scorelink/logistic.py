@@ -147,6 +147,33 @@ class NewtonResult:
     objective_trace: tuple[float, ...]
 
 
+# The Bernoulli kernel in the linear predictor eta = offset + design @ v.
+# Every likelihood, gradient and Hessian in the package is built from these.
+def _log_likelihood(labels: np.ndarray, eta: np.ndarray) -> float:
+    return float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
+
+
+def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray):
+    """Gradient of the log-likelihood in v, and the fitted probabilities."""
+    prob = sigmoid(eta)
+    return design.T @ (labels - prob), prob
+
+
+def _information(design: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Negated Hessian of the log-likelihood in v."""
+    return (design * (prob * (1.0 - prob))[:, None]).T @ design
+
+
+def _intercept_design(sample: LabeledSample, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The [1, X] design of (intercept, coefficients) and its ridge vector.
+
+    The intercept is never penalized.
+    """
+    design = np.column_stack([np.ones(sample.n_records), sample.features])
+    penalty = np.concatenate(([0.0], np.full(sample.dimension, ridge)))
+    return design, penalty
+
+
 def maximize_logistic(
     design: np.ndarray,
     labels: np.ndarray,
@@ -173,8 +200,7 @@ def maximize_logistic(
 
     def objective(vec):
         eta = offset + design @ vec
-        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-        return ll - 0.5 * float(penalty @ (vec - center) ** 2)
+        return _log_likelihood(y, eta) - 0.5 * float(penalty @ (vec - center) ** 2)
 
     obj = objective(v)
     trace = [obj]
@@ -183,8 +209,8 @@ def maximize_logistic(
     iterations = 0
 
     for iteration in range(max_iterations + 1):
-        prob = sigmoid(offset + design @ v)
-        grad = design.T @ (y - prob) - penalty * (v - center)
+        grad, prob = _gradient(design, y, offset + design @ v)
+        grad -= penalty * (v - center)
         gradient_norm = float(np.linalg.norm(grad))
         if gradient_norm <= gradient_tolerance:
             converged = True
@@ -192,9 +218,7 @@ def maximize_logistic(
         if iteration == max_iterations:
             break
 
-        weights = prob * (1.0 - prob)
-        hess = (design * weights[:, None]).T @ design + np.diag(penalty)
-        step = _solve_step(hess, grad)
+        step = _solve_step(_information(design, prob) + np.diag(penalty), grad)
         slope = float(grad @ step)
         if slope <= 0.0:  # numerically not an ascent direction
             step = grad
@@ -256,30 +280,31 @@ def score(params: LogisticParams, x) -> np.ndarray | float:
 def log_likelihood(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> float:
     """Bernoulli log-likelihood of the sample, minus ridge * ||beta||^2 / 2."""
     _check_dimensions(params, sample)
-    eta = params.linear_predictor(sample.features)
-    y = sample.labels
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    ll = _log_likelihood(sample.labels, params.linear_predictor(sample.features))
     return ll - 0.5 * ridge * float(params.coefficients @ params.coefficients)
 
 
 def gradient(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> np.ndarray:
     """Gradient of :func:`log_likelihood` w.r.t. (intercept, coefficients)."""
     _check_dimensions(params, sample)
-    prob = sigmoid(params.linear_predictor(sample.features))
-    resid = sample.labels - prob
-    return np.concatenate(
-        ([resid.sum()], sample.features.T @ resid - ridge * params.coefficients)
-    )
+    design, penalty = _intercept_design(sample, ridge)
+    grad, _ = _gradient(design, sample.labels, params.linear_predictor(sample.features))
+    return grad - penalty * np.concatenate(([params.intercept], params.coefficients))
 
 
 def hessian(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> np.ndarray:
     """Hessian of :func:`log_likelihood`: symmetric, negative semi-definite."""
     _check_dimensions(params, sample)
+    design, penalty = _intercept_design(sample, ridge)
     prob = sigmoid(params.linear_predictor(sample.features))
-    weights = prob * (1.0 - prob)
-    design = np.column_stack([np.ones(sample.n_records), sample.features])
-    penalty = np.concatenate(([0.0], np.full(sample.dimension, ridge)))
-    return -((design * weights[:, None]).T @ design + np.diag(penalty))
+    return -(_information(design, prob) + np.diag(penalty))
+
+
+def _require_two_classes(sample: LabeledSample, ridge: float) -> None:
+    """Raise NumericalError when an unpenalized fit on ``sample`` has no finite MLE."""
+    zeros, ones = sample.class_counts()
+    if (zeros == 0 or ones == 0) and ridge == 0.0:
+        raise NumericalError("degenerate labels: sample contains a single class and ridge = 0")
 
 
 def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport:
@@ -291,14 +316,8 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
     """
     if sample.dimension < 1:
         raise ValueError("sample must have at least one feature")
-    zeros, ones = sample.class_counts()
-    if (zeros == 0 or ones == 0) and config.ridge == 0.0:
-        raise NumericalError(
-            "degenerate labels: sample contains a single class and ridge = 0"
-        )
-
-    design = np.column_stack([np.ones(sample.n_records), sample.features])
-    penalty = np.concatenate(([0.0], np.full(sample.dimension, config.ridge)))
+    _require_two_classes(sample, config.ridge)
+    design, penalty = _intercept_design(sample, config.ridge)
     result = maximize_logistic(
         design,
         sample.labels,

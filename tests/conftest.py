@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scorelink import fit_mle, load_german_credit, split_by_account_status
+
+# Property tests draw the same examples on every run; pass
+# --hypothesis-profile=default to search with fresh randomness instead.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

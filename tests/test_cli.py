@@ -5,6 +5,9 @@ from importlib import resources
 
 import pytest
 
+import scorelink.experiment as experiment_module
+from scorelink import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -209,6 +212,35 @@ class TestExperimentCommand:
         )
         assert proc.returncode == 2
 
+    def test_roc_only_key_rejected(self, german_csv, tmp_path):
+        """``n`` sizes the roc subcommand's split; experiment does not read it."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 100}))
+        proc = run_cli(
+            "experiment", "--data", str(german_csv),
+            "--out", str(tmp_path / "x"), "--config", str(config),
+        )
+        assert proc.returncode == 2
+        assert "'n'" in json.loads(proc.stderr)["error"]
+
+    def test_source_fitted_once(self, german_csv, tmp_path, monkeypatch, capsys):
+        """The ROC suite reuses the sweep's source fit instead of refitting."""
+        fitted = []
+        original = experiment_module.fit_mle
+
+        def counting(sample, *args, **kwargs):
+            fitted.append(sample.tag)
+            return original(sample, *args, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "fit_mle", counting)
+        code = cli.main([
+            "experiment", "--data", str(german_csv), "--out", str(tmp_path / "out"),
+            "--sizes", "50", "--repetitions", "1", "--models", "M1,M3",
+        ])
+        assert code == 0
+        assert fitted.count("source") == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == 0
+
 
 class TestRocCommand:
     def test_emits_curves(self, german_csv, tmp_path):
@@ -220,6 +252,18 @@ class TestRocCommand:
         aucs = json.loads(proc.stdout)
         assert set(aucs) == {f"M{k}" for k in range(1, 8)}
         assert (out / "roc_all.svg").exists()
+
+    def test_sweep_keys_rejected(self, german_csv, tmp_path):
+        """roc draws one split and fits every model; it reads none of these."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": "M1", "jobs": 4, "sizes": "50"}))
+        out = tmp_path / "roc"
+        proc = run_cli(
+            "roc", "--data", str(german_csv), "--out", str(out), "--config", str(config)
+        )
+        assert proc.returncode == 2
+        assert "'jobs', 'models', 'sizes'" in json.loads(proc.stderr)["error"]
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -244,6 +288,18 @@ class TestExitCodes:
         assert proc.returncode == 4
         err = json.loads(proc.stderr.strip())
         assert err["code"] == 4
+
+    def test_non_finite_cell_is_data_error(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,x2,kredit\n1,2,1\n3,nan,0\n4,5,1\n6,7,0\n")
+        proc = run_cli("fit", "--data", str(path))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == 3
+        assert "row 3, column 'x2'" in err["error"]
 
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))

@@ -55,6 +55,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3.*'b'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        """The blank line is skipped but still counts towards the row number."""
+        path = write_lines(tmp_path, "bad.csv", ["a,b,kredit", "1,2,1", "", f"1,{cell},0"])
+        with pytest.raises(DataError, match=f"row 4, column 'b' is not finite: {cell}"):
+            load_csv(path)
+
     def test_non_binary_label_rejected(self, tmp_path):
         path = write_lines(tmp_path, "bad.csv", ["a,kredit", "1,2"])
         with pytest.raises(DataError, match="label must be 0 or 1"):
@@ -105,6 +112,13 @@ class TestSplitByAccountStatus:
             np.array([[0.0, 1.0], [2.0, 2.0]]), np.array([0, 1]), ("laufkont", "x")
         )
         with pytest.raises(DataError, match="below 1"):
+            split_by_account_status(sample)
+
+    def test_non_integer_value_rejected(self):
+        sample = LabeledSample(
+            np.array([[1.0, 1.0], [1.5, 2.0], [2.0, 3.0]]), np.array([0, 1, 0]), ("laufkont", "x")
+        )
+        with pytest.raises(DataError, match="non-integer value 1.5 at record 1"):
             split_by_account_status(sample)
 
     def test_unknown_column(self, german):

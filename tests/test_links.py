@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scorelink.links as links_module
 from scorelink import (
@@ -186,6 +188,55 @@ class TestTransitionEstimation:
         fit = estimate_transition(LinkModelKind.M6, source, learning)
         assert fit.unidentifiable == (1,)
         assert fit.transition.scale[1] == 1.0
+
+
+# The paper's {shift} x {scale} grid, written out independently of links.py.
+SHIFT_FREE = {"M1": False, "M2": False, "M3": True, "M4": True, "M5": False, "M6": True}
+SCALE = {"M1": "fixed", "M2": "common", "M3": "fixed", "M4": "common",
+         "M5": "per-coefficient", "M6": "per-coefficient"}
+
+
+@st.composite
+def link_problems(draw):
+    """A source fit of dimension 1..5, some coefficients exactly zero, and a
+    learning sample drawn from a shifted and rescaled version of it."""
+    d = draw(st.integers(1, 5))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    magnitude = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d)))
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
+    source = LogisticParams(draw(st.floats(-1.0, 1.0)), np.where(zero, 0.0, sign * magnitude))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = LogisticParams(
+        source.intercept + rng.normal(scale=0.5),
+        source.coefficients * rng.uniform(0.5, 1.5, size=d) + rng.normal(scale=0.2, size=d),
+    )
+    learning = synthetic_sample(truth, draw(st.integers(30, 150)), rng)
+    return source, learning
+
+
+class TestGridProperties:
+    @given(link_problems())
+    def test_every_kind_keeps_its_constraints(self, problem):
+        source, learning = problem
+        zero = tuple(int(j) for j in np.flatnonzero(source.coefficients == 0.0))
+        fits = {kind.value: estimate_transition(kind, source, learning)
+                for kind in LinkModelKind if kind is not LinkModelKind.M7}
+        for name, fit in fits.items():
+            shift, scale = fit.transition.shift, fit.transition.scale
+            if not SHIFT_FREE[name]:
+                assert shift == 0.0, name
+            if SCALE[name] == "fixed":
+                np.testing.assert_array_equal(scale, np.ones_like(scale), err_msg=name)
+            if SCALE[name] == "common":
+                assert np.all(scale == scale[0]), name
+            expected = zero if SCALE[name] == "per-coefficient" else ()
+            assert fit.unidentifiable == expected, name
+            assert all(scale[j] == 1.0 for j in fit.unidentifiable), name
+        assert fits["M1"].converged
+        lls = {name: fit.log_likelihood for name, fit in fits.items() if fit.converged}
+        for lo, hi in TestNestedLikelihoods.CHAINS:
+            if lo in lls and hi in lls:
+                assert lls[lo] <= lls[hi] + 1e-6, (lo, hi)
 
 
 class TestNestedLikelihoods:

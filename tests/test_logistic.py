@@ -30,10 +30,10 @@ def random_instance(rng, n=25, d=4, scale=1.0):
 def naive_log_likelihood(params, sample, ridge=0.0):
     """Literal per-record summation, the independent oracle."""
     total = 0.0
-    for rec in sample.records:
-        eta = params.intercept + float(np.dot(params.coefficients, rec.features))
+    for features, label in zip(sample.features, sample.labels):
+        eta = params.intercept + float(np.dot(params.coefficients, features))
         p = 1.0 / (1.0 + math.exp(-eta))
-        total += math.log(p) if rec.label == 1 else math.log(1.0 - p)
+        total += math.log(p) if label == 1 else math.log(1.0 - p)
     return total - 0.5 * ridge * float(params.coefficients @ params.coefficients)
 
 

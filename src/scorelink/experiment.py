@@ -6,9 +6,12 @@ of the non-customer subpopulation, estimate each model on the identical
 learning sample, classify the test sample at the cut-off, and aggregate
 the three error rates over repetitions.
 
-Repetitions are independent work units and may run in a process pool; raw
-records are sorted by (learning size, repetition, model) before any
-reduction, so serial and parallel runs emit byte-identical outputs.
+A work unit is one learning size with a block of its repetitions: M2-M6
+are fitted for the whole block by one batched Newton call per model, each
+fit bitwise the one its repetition alone would get. Units may run in a
+process pool; raw records are sorted by (learning size, repetition, model)
+before any reduction, so serial and parallel runs emit byte-identical
+outputs.
 Partitions are drawn per (seed, n, repetition) -- independent across
 learning sizes, shared across models within a repetition.
 """
@@ -24,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import LabeledSample, SplitPlan, draw_split
+from .dataset import LabeledSample, SplitPlan, draw_split, split_rows
 from .evaluation import RocCurve, error_report, roc, write_roc_csv, write_roc_svg, _tally
 from .exceptions import NumericalError
-from .links import LinkModelKind, TransferFit, estimate_transition, fit_m7
+from .links import LinkModelKind, TransferFit, estimate_transition, estimate_transitions, fit_m7
 from .logistic import FitConfig, FitReport, LogisticParams, fit_mle, score
 
 ALL_MODELS = tuple(LinkModelKind)
@@ -141,57 +144,100 @@ def _fit_model(
     return estimate_transition(kind, source_params, learning, fit_config)
 
 
+# Cells (rows x columns) of the stacked M6 design that one block of
+# repetitions may hold. The block's learning features, that design and the
+# Newton engine's weighted copy of it are the transient arrays of a block,
+# each at most this many doubles: 3 x 8 bytes x 2**16 cells = 1.5 MB.
+_BLOCK_CELLS = 2**16
+
+
+def _blocks(config: ExperimentConfig, dimension: int) -> list[tuple[int, range]]:
+    """The work units: each learning size with its repetitions split into
+    blocks of about equal size within the cell budget."""
+    units = []
+    for n in config.learning_sizes:
+        largest = max(1, _BLOCK_CELLS // (n * (dimension + 1)))
+        count = -(-config.repetitions // largest)
+        bounds = [config.repetitions * i // count for i in range(count + 1)]
+        units.extend((n, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+    return units
+
+
 def _run_unit(
     source_sample: LabeledSample,
     source_params: LogisticParams,
     target: LabeledSample,
     config: ExperimentConfig,
     learning_size: int,
-    repetition: int,
+    repetitions: range,
 ) -> list[RepetitionRecord]:
+    """Records of one block of repetitions at one learning size.
+
+    M2-M6 are fitted for the whole block by one batched Newton call per
+    model; M7, a refit on the pooled source rows, once per repetition.
+    """
     plan = SplitPlan(learning_size, config.repetitions, config.seed)
-    learning, test = draw_split(target, plan, repetition)
+    rows = [split_rows(target, plan, r) for r in repetitions]
+    learning_rows = np.array([learning for learning, _ in rows])
+    features = np.take(target.features, learning_rows, axis=0)
+    labels = np.take(target.labels, learning_rows, axis=0)
+    learnings = [
+        LabeledSample(x, y, target.feature_names, target.tag) for x, y in zip(features, labels)
+    ]
+    links = {
+        kind: estimate_transitions(kind, source_params, learnings, config.fit)
+        for kind in config.models
+        if kind is not LinkModelKind.M7
+    }
+
     records = []
-    for kind in config.models:
-        try:
-            fit = _fit_model(kind, source_sample, source_params, learning, config.fit)
-            scores = score(fit.target_params, test.features)
-            counts = _tally(scores, test.labels, config.threshold)
-            report = error_report(counts, config.threshold)
-            records.append(
-                RepetitionRecord(
-                    learning_size=learning_size,
-                    repetition=repetition,
-                    model=kind.value,
-                    converged=fit.converged,
-                    log_likelihood=fit.log_likelihood,
-                    true_positive=counts.true_positive,
-                    false_positive=counts.false_positive,
-                    true_negative=counts.true_negative,
-                    false_negative=counts.false_negative,
-                    test_error=report.test_error,
-                    type_i=report.type_i,
-                    type_ii=report.type_ii,
+    for i, repetition in enumerate(repetitions):
+        test = target.subset(rows[i][1])
+        for kind in config.models:
+            try:
+                if kind is LinkModelKind.M7:
+                    fit = fit_m7(source_sample, learnings[i], config.fit)
+                else:
+                    fit = links[kind][i]
+                    if isinstance(fit, NumericalError):
+                        raise fit
+                scores = score(fit.target_params, test.features)
+                counts = _tally(scores, test.labels, config.threshold)
+                report = error_report(counts, config.threshold)
+                records.append(
+                    RepetitionRecord(
+                        learning_size=learning_size,
+                        repetition=repetition,
+                        model=kind.value,
+                        converged=fit.converged,
+                        log_likelihood=fit.log_likelihood,
+                        true_positive=counts.true_positive,
+                        false_positive=counts.false_positive,
+                        true_negative=counts.true_negative,
+                        false_negative=counts.false_negative,
+                        test_error=report.test_error,
+                        type_i=report.type_i,
+                        type_ii=report.type_ii,
+                    )
                 )
-            )
-        except (NumericalError, np.linalg.LinAlgError):
-            records.append(
-                RepetitionRecord(
-                    learning_size=learning_size,
-                    repetition=repetition,
-                    model=kind.value,
-                    converged=False,
-                    log_likelihood=float("nan"),
-                    true_positive=0,
-                    false_positive=0,
-                    true_negative=0,
-                    false_negative=0,
-                    test_error=float("nan"),
-                    type_i=float("nan"),
-                    type_ii=float("nan"),
-                    failed=True,
+            except (NumericalError, np.linalg.LinAlgError):
+                records.append(
+                    RepetitionRecord(
+                        learning_size=learning_size,
+                        repetition=repetition,
+                        model=kind.value,
+                        converged=False,
+                        log_likelihood=float("nan"),
+                        true_positive=0,
+                        false_positive=0,
+                        true_negative=0,
+                        false_negative=0,
+                        test_error=float("nan"),
+                        type_i=float("nan"),
+                        type_ii=float("nan"),
+                        failed=True,
+                    )
                 )
-            )
     return records
 
 
@@ -207,15 +253,15 @@ def _worker_init(source_sample, source_params, target, config) -> None:
     )
 
 
-def _worker_run(unit: tuple[int, int]) -> list[RepetitionRecord]:
-    learning_size, repetition = unit
+def _worker_run(unit: tuple[int, range]) -> list[RepetitionRecord]:
+    learning_size, repetitions = unit
     return _run_unit(
         _WORKER_STATE["source_sample"],
         _WORKER_STATE["source_params"],
         _WORKER_STATE["target"],
         _WORKER_STATE["config"],
         learning_size,
-        repetition,
+        repetitions,
     )
 
 
@@ -235,7 +281,7 @@ def run_experiment(
     if not source_fit.converged:
         raise NumericalError("source fit did not converge")
 
-    units = [(n, r) for n in config.learning_sizes for r in range(config.repetitions)]
+    units = _blocks(config, target.dimension)
     if jobs > 1:
         with multiprocessing.Pool(
             jobs,
@@ -245,7 +291,7 @@ def run_experiment(
             batches = pool.map(_worker_run, units)
     else:
         batches = [
-            _run_unit(source, source_fit.params, target, config, n, r) for n, r in units
+            _run_unit(source, source_fit.params, target, config, n, block) for n, block in units
         ]
 
     model_order = {kind.value: i for i, kind in enumerate(config.models)}

@@ -2,8 +2,10 @@
 
 The fitter is a full Newton method with step-halving line search on the
 (optionally ridge-penalized) log-likelihood. A single engine,
-:func:`maximize_logistic`, handles both the plain MLE and the constrained
-transfer estimators in :mod:`scorelink.links`: it maximizes
+:func:`maximize_logistic_batch`, handles both the plain MLE and the
+constrained transfer estimators in :mod:`scorelink.links`, for one
+problem (:func:`maximize_logistic`) or a stack of independent ones: it
+maximizes
 
     sum_i [ y_i eta_i - log(1 + exp(eta_i)) ]
         - 1/2 * sum_j penalty_j * (v_j - center_j)^2,
@@ -39,14 +41,8 @@ _NOISE_EPS = 1e-13
 def sigmoid(eta):
     """Numerically stable logistic function, clipped into (0, 1)."""
     eta = np.asarray(eta, dtype=float)
-    flat = np.atleast_1d(eta)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ez = np.exp(flat[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, _P_LO, _P_HI)
-    return out.reshape(eta.shape)
+    e = np.exp(-np.abs(eta))  # never overflows
+    return np.clip(np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _P_LO, _P_HI)
 
 
 @dataclass(frozen=True)
@@ -149,19 +145,32 @@ class NewtonResult:
 
 # The Bernoulli kernel in the linear predictor eta = offset + design @ v.
 # Every likelihood, gradient and Hessian in the package is built from these.
-def _log_likelihood(labels: np.ndarray, eta: np.ndarray) -> float:
-    return float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
+# Each takes one problem (design (n, p), vectors (n,)) or a stack of them
+# (design (B, n, p), vectors (B, n)). A member of a stack goes through the
+# same BLAS call, on the same shape and memory layout, as the problem alone,
+# so its result is bitwise the same.
+def _log_likelihood(labels: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return (labels * eta - np.logaddexp(0.0, eta)).sum(axis=-1)
 
 
 def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray):
     """Gradient of the log-likelihood in v, and the fitted probabilities."""
     prob = sigmoid(eta)
-    return design.T @ (labels - prob), prob
+    return _matvec(np.swapaxes(design, -1, -2), labels - prob), prob
 
 
 def _information(design: np.ndarray, prob: np.ndarray) -> np.ndarray:
     """Negated Hessian of the log-likelihood in v."""
-    return (design * (prob * (1.0 - prob))[:, None]).T @ design
+    return np.swapaxes(design * (prob * (1.0 - prob))[..., None], -1, -2) @ design
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    return np.matmul(matrix, vector[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, one BLAS dot per member."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _intercept_design(sample: LabeledSample, ridge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -187,74 +196,186 @@ def maximize_logistic(
     """Newton maximization of the penalized logistic log-likelihood.
 
     Solves the (design, offset)-parameterized problem described in the
-    module docstring. Falls back to a least-squares step, then to plain
-    gradient ascent, if the Hessian solve fails.
+    module docstring for one design of shape (n, p). It is the batch of
+    one of :func:`maximize_logistic_batch`, which states the contract.
     """
     design = np.asarray(design, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    n, p = design.shape
-    offset = np.broadcast_to(np.asarray(offset, dtype=float), (n,))
+    n, _ = design.shape
+    (result,) = maximize_logistic_batch(
+        design[None],
+        np.asarray(labels, dtype=float)[None],
+        np.broadcast_to(np.asarray(offset, dtype=float), (1, n)),
+        penalty,
+        center,
+        start,
+        max_iterations,
+        gradient_tolerance,
+    )
+    return result
+
+
+def maximize_logistic_batch(
+    design: np.ndarray,
+    labels: np.ndarray,
+    offset: np.ndarray,
+    penalty: np.ndarray | None = None,
+    center: np.ndarray | None = None,
+    start: np.ndarray | None = None,
+    max_iterations: int = 100,
+    gradient_tolerance: float = 1e-8,
+) -> list[NewtonResult]:
+    """Newton maximization of a stack of independent penalized problems.
+
+    ``design`` has shape (B, n, p), ``labels`` and ``offset`` shape
+    (B, n); ``penalty``, ``center`` and ``start`` (p,) are shared. Each
+    member is its own optimization. It stops once its gradient norm is
+    within ``gradient_tolerance``, when its line search reaches the step
+    floor, or after ``max_iterations`` steps. A step solves the Newton
+    system by Cholesky, falling back to least squares and then to the
+    gradient if that fails, and takes the gradient when the result is not
+    an ascent direction; step-halving then enforces the Armijo condition.
+    Member b's result is bitwise that of the batch holding member b alone.
+
+    Finished members are compacted out of ``design``, ``labels`` and
+    ``offset`` in place, so with B > 1 these must be writable arrays
+    that the caller hands over.
+    """
+    batch, _, p = design.shape
     penalty = np.zeros(p) if penalty is None else np.asarray(penalty, dtype=float)
     center = np.zeros(p) if center is None else np.asarray(center, dtype=float)
-    v = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
+    start = np.zeros(p) if start is None else np.asarray(start, dtype=float)
+    penalty_hessian = np.diag(penalty)
+    running = (design, labels, offset)  # the rows of the members still running
 
     def objective(vec):
-        eta = offset + design @ vec
-        return _log_likelihood(y, eta) - 0.5 * float(penalty @ (vec - center) ** 2)
+        x, y, off = running
+        eta = off + _matvec(x, vec)
+        return _log_likelihood(y, eta) - 0.5 * _dot(penalty, (vec - center) ** 2)
 
+    members = np.arange(batch)  # the member whose problem each row holds
+    v = np.repeat(start[None], batch, axis=0)
     obj = objective(v)
-    trace = [obj]
-    converged = False
-    gradient_norm = np.inf
-    iterations = 0
+    traces = [[value] for value in obj.tolist()]
+    results: list = [None] * batch
+
+    def finish(rows, converged, gradient_norm, iteration) -> bool:
+        """Record the results of ``rows``; True when no member is left."""
+        for row in np.flatnonzero(rows):
+            member = members[row]
+            results[member] = NewtonResult(
+                v[row].copy(),
+                bool(converged[row]),
+                iteration,
+                float(gradient_norm[row]),
+                float(obj[row]),
+                tuple(traces[member]),
+            )
+        return rows.all()
+
+    def drop(rows):
+        """Compact the members not in ``rows`` into the leading rows."""
+        nonlocal running, members, v, obj
+        keep = np.flatnonzero(~rows)
+        _compact(keep, design, labels, offset)
+        running = (design[: len(keep)], labels[: len(keep)], offset[: len(keep)])
+        members, v, obj = members[keep], v[keep], obj[keep]
+        return keep
 
     for iteration in range(max_iterations + 1):
-        grad, prob = _gradient(design, y, offset + design @ v)
+        x, y, off = running
+        grad, prob = _gradient(x, y, off + _matvec(x, v))
         grad -= penalty * (v - center)
-        gradient_norm = float(np.linalg.norm(grad))
-        if gradient_norm <= gradient_tolerance:
-            converged = True
-            break
+        squared_norm = _dot(grad, grad)
+        gradient_norm = np.sqrt(squared_norm)
+        converged = gradient_norm <= gradient_tolerance
         if iteration == max_iterations:
+            finish(np.ones(len(v), dtype=bool), converged, gradient_norm, iteration)
             break
-
-        step = _solve_step(_information(design, prob) + np.diag(penalty), grad)
-        slope = float(grad @ step)
-        if slope <= 0.0:  # numerically not an ascent direction
-            step = grad
-            slope = float(grad @ grad)
-
-        noise = _NOISE_EPS * (1.0 + abs(obj))
-        t = 1.0
-        accepted = False
-        while t >= _MIN_STEP:
-            candidate = v + t * step
-            cand_obj = objective(candidate)
-            if cand_obj >= obj + _ARMIJO * t * slope - noise:
-                accepted = True
+        if converged.any():
+            if finish(converged, converged, gradient_norm, iteration):
                 break
-            t /= 2.0
-        if not accepted:  # numerical floor reached; no further progress possible
-            break
-        v = candidate
-        obj = cand_obj
-        trace.append(obj)
-        iterations += 1
+            keep = drop(converged)
+            grad, prob = grad[keep], prob[keep]
+            squared_norm, gradient_norm = squared_norm[keep], gradient_norm[keep]
+            x, y, off = running
 
-    return NewtonResult(v, converged, iterations, gradient_norm, obj, tuple(trace))
+        step = _newton_steps(_information(x, prob) + penalty_hessian, grad)
+        slope = _dot(grad, step)
+        uphill = slope <= 0.0  # numerically not an ascent direction
+        if uphill.any():
+            step[uphill] = grad[uphill]
+            slope[uphill] = squared_norm[uphill]
+
+        # Armijo step-halving, t = 1, 1/2, ... down to _MIN_STEP per member
+        noise = _NOISE_EPS * (1.0 + np.abs(obj))
+        candidate = v + step
+        cand_obj = objective(candidate)
+        accepted = cand_obj >= obj + _ARMIJO * slope - noise
+        if accepted.all():
+            v, obj = candidate, cand_obj
+        else:
+            t = np.ones(len(v))
+            searching = ~accepted
+            while True:
+                t[searching] /= 2.0
+                searching &= t >= _MIN_STEP
+                if not searching.any():
+                    break
+                # every row is evaluated: selecting the searching rows would
+                # copy their designs, and an accepted row's value is not used
+                trial = v + t[:, None] * step
+                trial_obj = objective(trial)
+                accept = searching & (trial_obj >= obj + _ARMIJO * t * slope - noise)
+                candidate[accept] = trial[accept]
+                cand_obj[accept] = trial_obj[accept]
+                accepted |= accept
+                searching &= ~accept
+            v = np.where(accepted[:, None], candidate, v)
+            obj = np.where(accepted, cand_obj, obj)
+        for member, value, moved in zip(members.tolist(), obj.tolist(), accepted.tolist()):
+            if moved:
+                traces[member].append(value)
+
+        if not accepted.all():  # numerical floor reached; no further progress possible
+            stuck = ~accepted
+            if finish(stuck, np.zeros(len(v), dtype=bool), gradient_norm, iteration):
+                break
+            drop(stuck)
+
+    return results
 
 
-def _solve_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
+    """Move rows ``keep`` (ascending) of each stack to its front, in place."""
+    for row, member in enumerate(keep):
+        if row != member:
+            for stack in stacks:
+                stack[row] = stack[member]
+
+
+def _newton_steps(information: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve information @ step = grad for each member of a stack.
+
+    A member whose Cholesky factorization, or a solve with its factor,
+    fails takes a least-squares step, or the gradient if that fails too.
+    A batched call fails for the whole stack, so the stack is halved until
+    each failing member is alone.
+    """
     try:
-        factor = np.linalg.cholesky(hess)
-        half = np.linalg.solve(factor, grad)
-        return np.linalg.solve(factor.T, half)
+        factor = np.linalg.cholesky(information)
+        half = np.linalg.solve(factor, grad[..., None])
+        return np.linalg.solve(np.swapaxes(factor, -1, -2), half)[..., 0]
     except np.linalg.LinAlgError:
         pass
+    if len(grad) > 1:
+        mid = len(grad) // 2
+        return np.concatenate(
+            [_newton_steps(information[:mid], grad[:mid]), _newton_steps(information[mid:], grad[mid:])]
+        )
     try:
-        return np.linalg.lstsq(hess, grad, rcond=None)[0]
+        return np.linalg.lstsq(information[0], grad[0], rcond=None)[0][None]
     except np.linalg.LinAlgError:
-        return grad
+        return grad.copy()
 
 
 def _check_dimensions(params: LogisticParams, sample: LabeledSample) -> None:
@@ -280,7 +401,7 @@ def score(params: LogisticParams, x) -> np.ndarray | float:
 def log_likelihood(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> float:
     """Bernoulli log-likelihood of the sample, minus ridge * ||beta||^2 / 2."""
     _check_dimensions(params, sample)
-    ll = _log_likelihood(sample.labels, params.linear_predictor(sample.features))
+    ll = float(_log_likelihood(sample.labels, params.linear_predictor(sample.features)))
     return ll - 0.5 * ridge * float(params.coefficients @ params.coefficients)
 
 

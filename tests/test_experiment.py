@@ -1,13 +1,18 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scorelink import LinkModelKind
+import scorelink.links as links_module
+from scorelink import FitConfig, LabeledSample, LinkModelKind, fit_mle
 from scorelink.experiment import (
+    _BLOCK_CELLS,
     ExperimentConfig,
+    _blocks,
+    _run_unit,
     emit_roc_suite,
     run_experiment,
     write_experiment_outputs,
@@ -172,3 +177,88 @@ class TestRocSuite:
         b = emit_roc_suite(source, target, small_config, learning_size=100)
         np.testing.assert_array_equal(a["M1"].miss_rate, b["M1"].miss_rate)
         assert a["M1"].auc == b["M1"].auc
+
+
+def same_records(a, b) -> bool:
+    # repr, because failed records hold NaN, which equals nothing
+    return [repr(dataclasses.astuple(r)) for r in a] == [repr(dataclasses.astuple(r)) for r in b]
+
+
+def per_repetition(source, source_params, target, config, size):
+    """The records of each repetition run as a block of its own."""
+    return [
+        rec
+        for r in range(config.repetitions)
+        for rec in _run_unit(source, source_params, target, config, size, range(r, r + 1))
+    ]
+
+
+class TestBlocks:
+    def test_blocks_partition_the_repetitions_within_budget(self):
+        config = ExperimentConfig()
+        units = _blocks(config, 19)
+        for n in config.learning_sizes:
+            blocks = [block for size, block in units if size == n]
+            assert [r for block in blocks for r in block] == list(range(config.repetitions))
+            assert max(len(b) for b in blocks) - min(len(b) for b in blocks) <= 1
+            assert all(len(b) * n * 20 <= _BLOCK_CELLS for b in blocks)
+        assert len(units) < len(config.learning_sizes) * config.repetitions
+
+    def test_one_newton_call_per_size_model_and_block(self, source, target, monkeypatch):
+        calls = {"batch": [], "single": 0}
+        batch, single = links_module.maximize_logistic_batch, links_module.maximize_logistic
+
+        def counting_batch(design, *args, **kwargs):
+            calls["batch"].append(design.shape[0])
+            return batch(design, *args, **kwargs)
+
+        def counting_single(*args, **kwargs):
+            calls["single"] += 1
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(links_module, "maximize_logistic_batch", counting_batch)
+        monkeypatch.setattr(links_module, "maximize_logistic", counting_single)
+        config = ExperimentConfig(learning_sizes=(50, 100), repetitions=4, seed=202)
+        run_experiment(source, target, config)
+        # M2-M6 once per (size, block); M1 never; each block holds all 4 repetitions
+        assert calls == {"batch": [4] * 10, "single": 0}
+
+
+class TestBlockFailures:
+    """A member that fails records its own failure and nothing else changes."""
+
+    def test_single_class_member(self):
+        rng = np.random.default_rng(8)
+        names = ("a", "b")
+        features = rng.normal(size=(300, 2))
+        labels = (rng.random(300) < 1 / (1 + np.exp(-features @ [1.0, -1.0]))).astype(int)
+        source = LabeledSample(features, labels, names, "source")
+        target_labels = np.zeros(40, dtype=int)
+        target_labels[:3] = 1
+        target = LabeledSample(rng.normal(size=(40, 2)), target_labels, names, "target")
+        config = ExperimentConfig(learning_sizes=(6,), repetitions=8, seed=3, fit=FitConfig(ridge=0.0))
+        params = fit_mle(source, config.fit).params
+
+        block = _run_unit(source, params, target, config, 6, range(8))
+        assert same_records(block, per_repetition(source, params, target, config, 6))
+        failed = {(r.repetition, r.model) for r in block if r.failed}
+        single_class = {r for r, _ in failed}
+        assert 0 < len(single_class) < 8
+        assert failed == {(r, f"M{k}") for r in single_class for k in range(2, 7)}
+
+    def test_non_finite_member(self, source, source_fit, target, monkeypatch):
+        config = ExperimentConfig(learning_sizes=(50,), repetitions=4, seed=9)
+        reference = per_repetition(source, source_fit.params, target, config, 50)
+        batch = links_module.maximize_logistic_batch
+
+        def corrupting(*args, **kwargs):
+            results = batch(*args, **kwargs)
+            results[1] = dataclasses.replace(results[1], x=np.full_like(results[1].x, np.inf))
+            return results
+
+        monkeypatch.setattr(links_module, "maximize_logistic_batch", corrupting)
+        block = _run_unit(source, source_fit.params, target, config, 50, range(4))
+        failed = {(r.repetition, r.model) for r in block if r.failed}
+        assert failed == {(1, f"M{k}") for k in range(2, 7)}
+        kept = [r for r in block if (r.repetition, r.model) not in failed]
+        assert same_records(kept, [r for r in reference if (r.repetition, r.model) not in failed])

@@ -21,6 +21,7 @@ from scorelink import (
     score_target,
 )
 from scorelink.dataset import SplitPlan, draw_split
+from scorelink.links import estimate_transitions
 
 ALL_TRANSITION_KINDS = [
     LinkModelKind.M2,
@@ -176,6 +177,24 @@ class TestTransitionEstimation:
         assert a.transition.shift == b.transition.shift
         np.testing.assert_array_equal(a.transition.scale, b.transition.scale)
         assert a.log_likelihood == b.log_likelihood
+
+    @pytest.mark.parametrize("kind", [LinkModelKind.M1, *ALL_TRANSITION_KINDS])
+    def test_block_equals_single_fits(self, kind, source_fit, target):
+        """A block's fits are bitwise those of each member fitted alone."""
+        learnings = [draw_split(target, SplitPlan(150, 6, seed=4), r)[0] for r in range(6)]
+        block = estimate_transitions(kind, source_fit.params, learnings)
+        for learning, fit in zip(learnings, block):
+            alone = estimate_transition(kind, source_fit.params, learning)
+            assert fit.transition.shift == alone.transition.shift
+            assert fit.transition.scale.tobytes() == alone.transition.scale.tobytes()
+            assert fit.target_params.coefficients.tobytes() == alone.target_params.coefficients.tobytes()
+            assert (fit.log_likelihood, fit.converged) == (alone.log_likelihood, alone.converged)
+
+    def test_block_members_of_one_size(self, source_fit, target):
+        small = draw_split(target, SplitPlan(50, 1), 0)[0]
+        large = draw_split(target, SplitPlan(100, 1), 0)[0]
+        with pytest.raises(ValueError, match="one size"):
+            estimate_transitions(LinkModelKind.M3, source_fit.params, [small, large])
 
     def test_m7_rejected(self, source_fit, target):
         with pytest.raises(ValueError, match="fit_m7"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scorelink import (
     FitConfig,
@@ -15,6 +17,7 @@ from scorelink import (
     log_likelihood,
     score,
 )
+from scorelink.logistic import NewtonResult, maximize_logistic, maximize_logistic_batch, sigmoid
 
 
 def random_instance(rng, n=25, d=4, scale=1.0):
@@ -68,6 +71,20 @@ class TestScore:
         params = LogisticParams(0.0, np.zeros(3))
         with pytest.raises(ValueError, match="does not match"):
             score(params, [1.0, 2.0])
+
+    def test_sigmoid_bitwise_equals_two_branch_formula(self):
+        """The one-exp sigmoid gives every bit of the two-branch formula."""
+        edges = [0.0, 1e-320, 709.8, 745.2, 1e308, np.inf]
+        draws = np.random.default_rng(11).normal(scale=40.0, size=200_000)
+        eta = np.concatenate([edges, np.negative(edges), draws])
+        expected = np.empty_like(eta)
+        pos = eta >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        ez = np.exp(eta[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        expected = np.clip(expected, 1e-300, 1.0 - 1e-16)
+        assert sigmoid(eta).tobytes() == expected.tobytes()
+        assert np.signbit(eta[len(edges)])  # -0.0 is among the edge values
 
 
 class TestLogLikelihood:
@@ -275,3 +292,153 @@ class TestSerialization:
             LogisticParams(float("nan"), np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
             LogisticParams(0.0, np.array([np.inf]))
+
+
+# Members of a Newton stack that take each exit and fallback of the engine.
+MEMBER_KINDS = ("plain", "zero-column", "flat", "overflow", "slow")
+
+
+@st.composite
+def newton_stacks(draw):
+    """A stack of logistic problems and the settings shared by its members.
+
+    "zero-column" has an all-zero design column, so at ridge 0 its
+    information is singular and the Cholesky step falls back to least
+    squares; "flat" has an all-zero design and converges at the start;
+    "overflow" is separated by a column of size 1e200, whose squared
+    gradient overflows, so its line search reaches the step floor; "slow"
+    is separated by a column of size 1e50 and runs into the iteration cap.
+    """
+    n = draw(st.integers(6, 40))
+    p = draw(st.integers(2, 4))
+    kinds = draw(st.lists(st.sampled_from(MEMBER_KINDS), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = rng.normal(size=(len(kinds), n, p))
+    labels = rng.integers(0, 2, size=(len(kinds), n)).astype(float)
+    for b, kind in enumerate(kinds):
+        if kind == "zero-column":
+            design[b, :, -1] = 0.0
+        elif kind == "flat":
+            design[b] = 0.0
+        elif kind in ("overflow", "slow"):
+            labels[b] = design[b, :, 1] > 0
+            design[b, :, 1] *= 1e200 if kind == "overflow" else 1e50
+    if draw(st.booleans()):  # each member column-major, as M5 and M6 store theirs
+        design = np.ascontiguousarray(design.transpose(0, 2, 1)).transpose(0, 2, 1)
+    settings = dict(
+        penalty=np.full(p, draw(st.sampled_from([0.0, 1e-8, 0.5]))),
+        center=rng.normal(size=p),
+        max_iterations=draw(st.sampled_from([1, 4, 30])),
+        gradient_tolerance=draw(st.sampled_from([1e-8, 1e-4])),
+    )
+    settings["start"] = settings["center"]
+    return kinds, design, labels, rng.normal(size=(len(kinds), n)), settings
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def reference_newton(design, labels, offset, penalty, center, start, max_iterations,
+                     gradient_tolerance):
+    """The one-problem Newton loop the batched engine replaced, as the oracle."""
+
+    def objective(vec):
+        eta = offset + design @ vec
+        loglik = float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
+        return loglik - 0.5 * float(penalty @ (vec - center) ** 2)
+
+    def solve(hess, grad):
+        try:
+            factor = np.linalg.cholesky(hess)
+            return np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+        except np.linalg.LinAlgError:
+            pass
+        try:
+            return np.linalg.lstsq(hess, grad, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return grad
+
+    v = start.copy()
+    obj = objective(v)
+    trace = [obj]
+    converged, gradient_norm, iterations = False, np.inf, 0
+    for iteration in range(max_iterations + 1):
+        prob = sigmoid(offset + design @ v)
+        grad = design.T @ (labels - prob) - penalty * (v - center)
+        gradient_norm = float(np.linalg.norm(grad))
+        if gradient_norm <= gradient_tolerance:
+            converged = True
+            break
+        if iteration == max_iterations:
+            break
+        info = (design * (prob * (1.0 - prob))[:, None]).T @ design
+        step = solve(info + np.diag(penalty), grad)
+        slope = float(grad @ step)
+        if slope <= 0.0:
+            step, slope = grad, float(grad @ grad)
+        noise = 1e-13 * (1.0 + abs(obj))
+        t = 1.0
+        while t >= 2.0**-60:
+            candidate = v + t * step
+            cand_obj = objective(candidate)
+            if cand_obj >= obj + 1e-4 * t * slope - noise:
+                break
+            t /= 2.0
+        else:
+            break
+        v, obj = candidate, cand_obj
+        trace.append(obj)
+        iterations += 1
+    return NewtonResult(v, converged, iterations, gradient_norm, obj, tuple(trace))
+
+
+class TestBatchedNewton:
+    @given(newton_stacks())
+    def test_member_equals_its_batch_of_one(self, stack):
+        """Each member's result is bitwise that of the member fitted alone,
+        by the batch of one and by the one-problem reference loop."""
+        kinds, design, labels, offset, settings = stack
+        with np.errstate(all="ignore"):
+            batch = maximize_logistic_batch(
+                design.copy(order="K"), labels.copy(), offset.copy(), **settings
+            )
+            for b, (kind, got) in enumerate(zip(kinds, batch)):
+                alone = maximize_logistic(design[b], labels[b], offset[b], **settings)
+                reference = reference_newton(design[b], labels[b], offset[b], **settings)
+                for want in (alone, reference):
+                    assert_same_bits(got.x, want.x)
+                    assert (got.converged, got.iterations) == (want.converged, want.iterations), kind
+                    assert_same_bits(got.gradient_norm, want.gradient_norm)
+                    assert_same_bits(got.objective, want.objective)
+                    assert_same_bits(got.objective_trace, want.objective_trace)
+
+    def test_each_exit_and_fallback_is_taken(self, monkeypatch):
+        """The special members of the property test do what it says they do."""
+        rng = np.random.default_rng(3)
+        kinds = ("plain", "zero-column", "flat", "overflow", "slow")
+        design = rng.normal(size=(len(kinds), 30, 3))
+        labels = rng.integers(0, 2, size=(len(kinds), 30)).astype(float)
+        design[1, :, -1] = 0.0
+        design[2] = 0.0
+        for b, size in ((3, 1e200), (4, 1e50)):
+            labels[b] = design[b, :, 1] > 0
+            design[b, :, 1] *= size
+        lstsq = np.linalg.lstsq
+        singular = []
+
+        def recording(a, b, rcond=None):
+            singular.append(not np.any(a[:, -1]))
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        with np.errstate(all="ignore"):
+            plain, zero, flat, overflow, slow = maximize_logistic_batch(
+                design, labels, np.zeros((len(kinds), 30)), np.zeros(3), max_iterations=30
+            )
+        assert plain.converged and zero.converged
+        assert singular and all(singular)  # only the zero-column member fell back
+        assert flat.converged and flat.iterations == 0
+        assert not overflow.converged and overflow.iterations == 0
+        assert overflow.gradient_norm == np.inf
+        assert not slow.converged and slow.iterations == 30

@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fail(code: int, message: str) -> None:
-    print(json.dumps({"error": message, "code": code}), file=sys.stderr)
+    print(json.dumps({"error": message, "code": code}, allow_nan=False), file=sys.stderr)
     sys.exit(code)
 
 
@@ -204,7 +204,7 @@ def _load_params(path: str) -> LogisticParams:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload)
+    text = json.dumps(payload, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -219,7 +219,8 @@ def _cmd_split(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_csv(source, out / "source.csv", values["target_column"])
     write_csv(target, out / "target.csv", values["target_column"])
-    print(json.dumps({"source_records": source.n_records, "target_records": target.n_records}))
+    counts = {"source_records": source.n_records, "target_records": target.n_records}
+    print(json.dumps(counts, allow_nan=False))
     return 0
 
 
@@ -304,7 +305,7 @@ def _cmd_experiment(args) -> int:
     )
     emit_roc_suite(source, target, config, out_dir=args.out,
                    source_params=result.source_fit.params)
-    print(json.dumps({"out": str(args.out), "failures": result.failures}))
+    print(json.dumps({"out": str(args.out), "failures": result.failures}, allow_nan=False))
     return 0
 
 
@@ -320,7 +321,8 @@ def _cmd_roc(args) -> int:
     curves = emit_roc_suite(
         source, target, config, learning_size=int(values["n"]), out_dir=args.out
     )
-    print(json.dumps({name: round(curve.auc, 4) for name, curve in sorted(curves.items())}))
+    aucs = {name: round(curve.auc, 4) for name, curve in sorted(curves.items())}
+    print(json.dumps(aucs, allow_nan=False))
     return 0
 
 
@@ -340,7 +342,7 @@ def _cmd_gaussian_check(args) -> int:
         "max_residual": max(r["max_residual"] for r in reports),
     }
     payload["dim"] = dim
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 

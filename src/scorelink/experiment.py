@@ -7,8 +7,11 @@ learning sample, classify the test sample at the cut-off, and aggregate
 the three error rates over repetitions.
 
 A work unit is one learning size with a block of its repetitions: M2-M6
-are fitted for the whole block by one batched Newton call per model, each
-fit bitwise the one its repetition alone would get. Units may run in a
+are fitted for the whole block by one batched Newton call per model, and
+M7 by a few calls over chunks of it, each fit bitwise the one its
+repetition alone would get. An error rate whose conditioning class is
+empty in a test split is recorded as NaN and left out of that metric's
+mean, standard deviation and ``repetitions_used``. Units may run in a
 process pool; raw records are sorted by (learning size, repetition, model)
 before any reduction, so serial and parallel runs emit byte-identical
 outputs.
@@ -30,7 +33,15 @@ from . import __version__
 from .dataset import LabeledSample, SplitPlan, draw_split, split_rows
 from .evaluation import RocCurve, error_report, roc, write_roc_csv, write_roc_svg, _tally
 from .exceptions import NumericalError
-from .links import LinkModelKind, TransferFit, estimate_transition, estimate_transitions, fit_m7
+from .links import (
+    LinkModelKind,
+    TransferFit,
+    _chunks,
+    estimate_transition,
+    estimate_transitions,
+    fit_m7,
+    fit_m7s,
+)
 from .logistic import FitConfig, FitReport, LogisticParams, fit_mle, score
 
 ALL_MODELS = tuple(LinkModelKind)
@@ -144,23 +155,15 @@ def _fit_model(
     return estimate_transition(kind, source_params, learning, fit_config)
 
 
-# Cells (rows x columns) of the stacked M6 design that one block of
-# repetitions may hold. The block's learning features, that design and the
-# Newton engine's weighted copy of it are the transient arrays of a block,
-# each at most this many doubles: 3 x 8 bytes x 2**16 cells = 1.5 MB.
-_BLOCK_CELLS = 2**16
-
-
 def _blocks(config: ExperimentConfig, dimension: int) -> list[tuple[int, range]]:
     """The work units: each learning size with its repetitions split into
-    blocks of about equal size within the cell budget."""
-    units = []
-    for n in config.learning_sizes:
-        largest = max(1, _BLOCK_CELLS // (n * (dimension + 1)))
-        count = -(-config.repetitions // largest)
-        bounds = [config.repetitions * i // count for i in range(count + 1)]
-        units.extend((n, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
-    return units
+    blocks of about equal size, each within ``_BLOCK_CELLS`` cells of its
+    stacked M6 design (block size x n x (d + 1))."""
+    return [
+        (n, block)
+        for n in config.learning_sizes
+        for block in _chunks(config.repetitions, n * (dimension + 1))
+    ]
 
 
 def _run_unit(
@@ -174,7 +177,8 @@ def _run_unit(
     """Records of one block of repetitions at one learning size.
 
     M2-M6 are fitted for the whole block by one batched Newton call per
-    model; M7, a refit on the pooled source rows, once per repetition.
+    model; M7, a refit on the pooled source rows, by one call per chunk of
+    the block within the cell budget.
     """
     plan = SplitPlan(learning_size, config.repetitions, config.seed)
     rows = [split_rows(target, plan, r) for r in repetitions]
@@ -184,10 +188,11 @@ def _run_unit(
     learnings = [
         LabeledSample(x, y, target.feature_names, target.tag) for x, y in zip(features, labels)
     ]
-    links = {
-        kind: estimate_transitions(kind, source_params, learnings, config.fit)
+    fits = {
+        kind: fit_m7s(source_sample, learnings, config.fit)
+        if kind is LinkModelKind.M7
+        else estimate_transitions(kind, source_params, learnings, config.fit)
         for kind in config.models
-        if kind is not LinkModelKind.M7
     }
 
     records = []
@@ -195,15 +200,14 @@ def _run_unit(
         test = target.subset(rows[i][1])
         for kind in config.models:
             try:
-                if kind is LinkModelKind.M7:
-                    fit = fit_m7(source_sample, learnings[i], config.fit)
-                else:
-                    fit = links[kind][i]
-                    if isinstance(fit, NumericalError):
-                        raise fit
+                fit = fits[kind][i]
+                if isinstance(fit, NumericalError):
+                    raise fit
                 scores = score(fit.target_params, test.features)
                 counts = _tally(scores, test.labels, config.threshold)
                 report = error_report(counts, config.threshold)
+                rates = {metric: getattr(report, metric) for metric in _METRICS}
+                rates.update(dict.fromkeys(report.undefined, float("nan")))
                 records.append(
                     RepetitionRecord(
                         learning_size=learning_size,
@@ -215,9 +219,7 @@ def _run_unit(
                         false_positive=counts.false_positive,
                         true_negative=counts.true_negative,
                         false_negative=counts.false_negative,
-                        test_error=report.test_error,
-                        type_i=report.type_i,
-                        type_ii=report.type_ii,
+                        **rates,
                     )
                 )
             except (NumericalError, np.linalg.LinAlgError):
@@ -313,13 +315,15 @@ def _aggregate(records, config: ExperimentConfig) -> dict[str, ResultTable]:
         used = np.zeros((len(models), len(sizes)), dtype=int)
         for i, model in enumerate(models):
             for j, n in enumerate(sizes):
+                # failed records and undefined rates hold NaN
                 values = np.array(
                     [
                         getattr(r, metric)
                         for r in records
-                        if r.model == model and r.learning_size == n and not r.failed
+                        if r.model == model and r.learning_size == n
                     ]
                 )
+                values = values[~np.isnan(values)]
                 used[i, j] = values.shape[0]
                 if values.shape[0]:
                     means[i, j] = values.mean()
@@ -418,7 +422,7 @@ def write_experiment_outputs(
     if extra_metadata:
         metadata.update(extra_metadata)
     with open(out_dir / METADATA_FILE, "w", encoding="utf-8") as f:
-        json.dump(metadata, f, indent=2, sort_keys=True)
+        json.dump(metadata, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -24,10 +24,14 @@ one common lambda | one L_j per coefficient}, written down once as
 their free parameters, holding the source fit fixed; estimation runs on
 the reparameterized design (columns ``b_j * x_j``) so the free parameters
 enter as ordinary logistic coefficients. M7 ignores the link structure
-and refits on the pooled rows. All optimizations warm-start at the
-identity link and share the Newton contract of
+and refits on the pooled rows from zero. The link optimizations
+warm-start at the identity link and share the Newton contract of
 :func:`scorelink.logistic.fit_mle`, with the ridge applied to deviations
 from the identity: c^2, (lambda - 1)^2, sum_j (L_j - 1)^2.
+
+Every kind has a block form (:func:`estimate_transitions`,
+:func:`fit_m7s`) that fits many equal-size learning samples through the
+batched Newton engine, each fit bitwise the one of its sample alone.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import POOLED_TAG, LabeledSample
+from .dataset import LabeledSample
 from .exceptions import NumericalError
 from .logistic import (
     FitConfig,
     LogisticParams,
     _require_two_classes,
-    fit_mle,
     log_likelihood,
     maximize_logistic,
     maximize_logistic_batch,
@@ -54,6 +57,23 @@ from .logistic import (
 
 # below this magnitude a source coefficient makes its scale unidentifiable
 IDENTIFIABILITY_EPS = 1e-10
+
+# Cells (rows x columns) that one stacked design handed to the batched
+# Newton engine may hold: the M6 design of a block of repetitions, or the
+# pooled M7 design of a chunk of one. That design, the engine's weighted
+# copy of it and the block's learning features are the transient arrays of
+# a call, each at most this many doubles: 3 x 8 bytes x 2**16 cells = 1.5 MB.
+_BLOCK_CELLS = 2**16
+
+
+def _chunks(count: int, member_cells: int) -> list[range]:
+    """``range(count)`` in near-equal chunks whose stacked designs, of
+    ``member_cells`` cells per member, fit in ``_BLOCK_CELLS`` (a member
+    larger than the budget is a chunk of its own)."""
+    largest = max(1, _BLOCK_CELLS // member_cells)
+    pieces = -(-count // largest)
+    bounds = [count * i // pieces for i in range(pieces + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class LinkModelKind(Enum):
@@ -137,7 +157,7 @@ class TransferFit:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransferFit":
@@ -222,7 +242,7 @@ def estimate_transitions(
     if shift_free or scale_kind != "fixed":  # every kind but M1 has a design
         for i, learning in enumerate(learnings):
             try:
-                _require_two_classes(learning, config.ridge)
+                _require_two_classes(learning.class_counts(), config.ridge)
             except NumericalError as err:
                 outcomes[i] = err
         fitted = [i for i, outcome in enumerate(outcomes) if outcome is None]
@@ -322,25 +342,105 @@ def fit_m7(
     learning: LabeledSample,
     config: FitConfig = FitConfig(),
 ) -> TransferFit:
-    """Refit from scratch on all source rows pooled with the learning rows."""
-    if source_sample.dimension != learning.dimension:
-        raise ValueError(
-            f"source dimension {source_sample.dimension} does not match "
-            f"learning dimension {learning.dimension}"
-        )
-    pooled = LabeledSample(
-        np.vstack([source_sample.features, learning.features]),
-        np.concatenate([source_sample.labels, learning.labels]),
-        learning.feature_names,
-        POOLED_TAG,
+    """Refit from scratch on all source rows pooled with the learning rows.
+
+    The block of one of :func:`fit_m7s`; a fit with no finite answer
+    raises NumericalError.
+    """
+    (fit,) = fit_m7s(source_sample, [learning], config)
+    if isinstance(fit, NumericalError):
+        raise fit
+    return fit
+
+
+def fit_m7s(
+    source_sample: LabeledSample,
+    learnings: Sequence[LabeledSample],
+    config: FitConfig = FitConfig(),
+) -> list[TransferFit | NumericalError]:
+    """Fit M7 on each of a block of equal-size learning samples.
+
+    The members go through the batched Newton engine in near-equal chunks,
+    each within ``_BLOCK_CELLS`` cells of its stacked pooled design, and
+    each fit is bitwise that of :func:`fit_m7` on its sample alone. The
+    pooled design ``[1, X]``, labels and offsets are allocated once per
+    block, with the intercept column and the source rows written in once;
+    a chunk overwrites only the learning rows. The engine's compaction
+    moves whole member rows, and every member has the same source rows,
+    so they stay intact. A member with no finite answer (a single class at
+    ridge 0, or fitted parameters that are not finite) gets its
+    NumericalError in place of a fit.
+    """
+    d = source_sample.dimension
+    if d < 1:
+        raise ValueError("sample must have at least one feature")
+    for learning in learnings:
+        if learning.dimension != d:
+            raise ValueError(
+                f"source dimension {d} does not match "
+                f"learning dimension {learning.dimension}"
+            )
+    if len({learning.n_records for learning in learnings}) > 1:
+        raise ValueError("the learning samples of a block must be of one size")
+
+    outcomes: list = [None] * len(learnings)
+    source_zeros, source_ones = source_sample.class_counts()
+    for i, learning in enumerate(learnings):
+        zeros, ones = learning.class_counts()
+        try:
+            _require_two_classes((source_zeros + zeros, source_ones + ones), config.ridge)
+        except NumericalError as err:
+            outcomes[i] = err
+    fitted = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not fitted:
+        return outcomes
+
+    m, n = source_sample.n_records, learnings[fitted[0]].n_records
+    chunks = _chunks(len(fitted), (m + n) * (d + 1))
+    # each member a C-contiguous (m + n, d + 1) slab, the layout of the
+    # single fit's design, so that BLAS sums every member in the same order
+    design = np.empty((max(map(len, chunks)), m + n, d + 1))
+    design[:, :, 0] = 1.0
+    design[:, :m, 1:] = source_sample.features
+    labels = np.empty(design.shape[:2])
+    labels[:, :m] = source_sample.labels
+    offset = np.zeros(design.shape[:2])
+    newton = dict(
+        penalty=np.concatenate(([0.0], np.full(d, config.ridge))),  # intercept free
+        max_iterations=config.max_iterations,
+        gradient_tolerance=config.gradient_tolerance,
     )
-    report = fit_mle(pooled, config)
+    for chunk in chunks:
+        members = [fitted[k] for k in chunk]
+        for row, i in enumerate(members):
+            design[row, m:, 1:] = learnings[i].features
+            labels[row, m:] = learnings[i].labels
+        # a lone fit is one call of the 2-D entry point, as in estimate_transitions
+        if len(members) == 1:
+            results = [maximize_logistic(design[0], labels[0], **newton)]
+        else:
+            k = len(members)
+            results = maximize_logistic_batch(design[:k], labels[:k], offset[:k], **newton)
+        for i, result in zip(members, results):
+            try:
+                outcomes[i] = _m7_fit(learnings[i], result)
+            except NumericalError as err:
+                outcomes[i] = err
+    return outcomes
+
+
+def _m7_fit(learning: LabeledSample, result) -> TransferFit:
+    """The TransferFit of one member's pooled Newton result."""
+    try:
+        params = LogisticParams(result.x[0], result.x[1:])
+    except ValueError as err:  # dimensions match, so a parameter is not finite
+        raise NumericalError("M7 fit has non-finite parameters") from err
     return TransferFit(
         kind=LinkModelKind.M7,
         transition=None,
-        target_params=report.params,
-        log_likelihood=log_likelihood(report.params, learning),
-        converged=report.converged,
+        target_params=params,
+        log_likelihood=log_likelihood(params, learning),
+        converged=result.converged,
     )
 
 

@@ -79,7 +79,7 @@ class LogisticParams:
         return {"intercept": self.intercept, "coefficients": self.coefficients.tolist()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogisticParams":
@@ -421,9 +421,10 @@ def hessian(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -
     return -(_information(design, prob) + np.diag(penalty))
 
 
-def _require_two_classes(sample: LabeledSample, ridge: float) -> None:
-    """Raise NumericalError when an unpenalized fit on ``sample`` has no finite MLE."""
-    zeros, ones = sample.class_counts()
+def _require_two_classes(class_counts: tuple[int, int], ridge: float) -> None:
+    """Raise NumericalError when an unpenalized fit on a sample with these
+    (label 0, label 1) counts has no finite MLE."""
+    zeros, ones = class_counts
     if (zeros == 0 or ones == 0) and ridge == 0.0:
         raise NumericalError("degenerate labels: sample contains a single class and ridge = 0")
 
@@ -437,7 +438,7 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
     """
     if sample.dimension < 1:
         raise ValueError("sample must have at least one feature")
-    _require_two_classes(sample, config.ridge)
+    _require_two_classes(sample.class_counts(), config.ridge)
     design, penalty = _intercept_design(sample, config.ridge)
     result = maximize_logistic(
         design,

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scorelink.experiment as experiment_module
 import scorelink.links as links_module
 from scorelink import FitConfig, LabeledSample, LinkModelKind, fit_mle
 from scorelink.experiment import (
-    _BLOCK_CELLS,
     ExperimentConfig,
     _blocks,
     _run_unit,
@@ -201,27 +201,43 @@ class TestBlocks:
             blocks = [block for size, block in units if size == n]
             assert [r for block in blocks for r in block] == list(range(config.repetitions))
             assert max(len(b) for b in blocks) - min(len(b) for b in blocks) <= 1
-            assert all(len(b) * n * 20 <= _BLOCK_CELLS for b in blocks)
+            assert all(len(b) * n * 20 <= links_module._BLOCK_CELLS for b in blocks)
         assert len(units) < len(config.learning_sizes) * config.repetitions
 
     def test_one_newton_call_per_size_model_and_block(self, source, target, monkeypatch):
-        calls = {"batch": [], "single": 0}
+        calls = {"batch": [], "single": 0, "fit_m7": 0, "fit_mle": 0}
         batch, single = links_module.maximize_logistic_batch, links_module.maximize_logistic
 
         def counting_batch(design, *args, **kwargs):
-            calls["batch"].append(design.shape[0])
+            calls["batch"].append(design.shape[:2])
             return batch(design, *args, **kwargs)
 
-        def counting_single(*args, **kwargs):
-            calls["single"] += 1
-            return single(*args, **kwargs)
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", counting_batch)
-        monkeypatch.setattr(links_module, "maximize_logistic", counting_single)
+        monkeypatch.setattr(links_module, "maximize_logistic", counting("single", single))
+        for module in (experiment_module, links_module):
+            monkeypatch.setattr(module, "fit_m7", counting("fit_m7", module.fit_m7))
+        fit_mle = counting("fit_mle", experiment_module.fit_mle)
+        monkeypatch.setattr(experiment_module, "fit_mle", fit_mle)
         config = ExperimentConfig(learning_sizes=(50, 100), repetitions=4, seed=202)
         run_experiment(source, target, config)
-        # M2-M6 once per (size, block); M1 never; each block holds all 4 repetitions
-        assert calls == {"batch": [4] * 10, "single": 0}
+        # each block holds all 4 repetitions: M2-M6 once per (size, block), M1
+        # never, and M7 once per chunk of the block within the cell budget,
+        # (726 + n) x 20 cells a member: one chunk of 4 at n = 50, two of 2 at 100
+        source_rows = source.n_records
+        assert calls["batch"] == (
+            [(4, 50)] * 5 + [(4, source_rows + 50)] + [(4, 100)] * 5 + [(2, source_rows + 100)] * 2
+        )
+        for n, size in ((50, 4), (100, 3)):
+            member = (source_rows + n) * 20
+            assert size * member <= links_module._BLOCK_CELLS < (size + 1) * member
+        # no fit per repetition; fit_mle only for the source
+        assert (calls["single"], calls["fit_m7"], calls["fit_mle"]) == (0, 0, 1)
 
 
 class TestBlockFailures:
@@ -259,6 +275,74 @@ class TestBlockFailures:
         monkeypatch.setattr(links_module, "maximize_logistic_batch", corrupting)
         block = _run_unit(source, source_fit.params, target, config, 50, range(4))
         failed = {(r.repetition, r.model) for r in block if r.failed}
-        assert failed == {(1, f"M{k}") for k in range(2, 7)}
+        assert failed == {(1, f"M{k}") for k in range(2, 8)}
         kept = [r for r in block if (r.repetition, r.model) not in failed]
         assert same_records(kept, [r for r in reference if (r.repetition, r.model) not in failed])
+
+    def test_non_finite_m7_member(self, source, source_fit, target, monkeypatch):
+        """An infinite pooled fit fails only its own M7 record, also when
+        the run goes through run_experiment."""
+        config = ExperimentConfig(learning_sizes=(50,), repetitions=2, seed=9)
+        reference = run_experiment(source, target, config).records
+        batch = links_module.maximize_logistic_batch
+
+        def corrupting(design, *args, **kwargs):
+            results = batch(design, *args, **kwargs)
+            if design.shape[1] > 50:  # the pooled M7 design
+                results[1] = dataclasses.replace(results[1], x=np.full_like(results[1].x, np.inf))
+            return results
+
+        monkeypatch.setattr(links_module, "maximize_logistic_batch", corrupting)
+        result = run_experiment(source, target, config)
+        assert {(r.repetition, r.model) for r in result.records if r.failed} == {(1, "M7")}
+        assert result.failures == 1
+        assert result.tables["test_error"].repetitions_used.tolist()[-1] == [1]
+        kept = [r for r in result.records if (r.repetition, r.model) != (1, "M7")]
+        assert same_records(kept, [r for r in reference if (r.repetition, r.model) != (1, "M7")])
+
+
+class TestUndefinedRates:
+    """A rate whose conditioning class is empty in a test split is NaN in
+    its record and stays out of that metric's aggregates."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        rng = np.random.default_rng(5)
+        names = ("a", "b")
+        features = rng.normal(size=(300, 2))
+        labels = (rng.random(300) < 1 / (1 + np.exp(-features @ [1.0, -1.0]))).astype(int)
+        source = LabeledSample(features, labels, names, "source")
+        # 4 negatives among 40 rows: a test split of 4 often holds none
+        target_labels = np.ones(40, dtype=int)
+        target_labels[:4] = 0
+        target = LabeledSample(rng.normal(size=(40, 2)), target_labels, names, "target")
+        config = ExperimentConfig(learning_sizes=(36,), repetitions=12, seed=1)
+        return run_experiment(source, target, config)
+
+    def test_records_and_tables(self, result):
+        records = [r for r in result.records if not r.failed]
+        no_negatives = [r for r in records if r.false_positive + r.true_negative == 0]
+        assert 0 < len(no_negatives) < len(records)
+        assert all(np.isnan(r.type_i) for r in no_negatives)
+        assert not any(np.isnan(r.type_i) for r in records if r not in no_negatives)
+        assert not any(np.isnan(r.test_error) or np.isnan(r.type_ii) for r in records)
+        for metric in ("test_error", "type_i", "type_ii"):
+            table = result.tables[metric]
+            for i, model in enumerate(table.models):
+                values = [getattr(r, metric) for r in records if r.model == model]
+                values = [v for v in values if not np.isnan(v)]
+                assert table.repetitions_used[i, 0] == len(values)
+                assert table.mean(model, 36) == np.mean(values)
+                assert table.std(model, 36) == np.std(values)
+
+    def test_blank_cells(self, result, tmp_path):
+        write_experiment_outputs(result, tmp_path)
+        with open(tmp_path / "raw_records.csv", newline="") as f:
+            raw = list(csv.DictReader(f))
+        blank = [r for r in raw if r["type_i"] == ""]
+        assert blank and all(r["failed"] == "0" and r["test_error"] != "" for r in blank)
+        with open(tmp_path / "tables_type_i.csv", newline="") as f:
+            used = {row["model"]: int(row["repetitions_used"]) for row in csv.DictReader(f)}
+        for model, count in used.items():
+            rows = [r for r in raw if r["model"] == model]
+            assert count == sum(r["type_i"] != "" for r in rows) < len(rows)

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorelink.links as links_module
 from scorelink import (
     DataError,
+    NumericalError,
     FitConfig,
     LabeledSample,
     LinkModelKind,
@@ -21,7 +24,7 @@ from scorelink import (
     score_target,
 )
 from scorelink.dataset import SplitPlan, draw_split
-from scorelink.links import estimate_transitions
+from scorelink.links import estimate_transitions, fit_m7s
 
 ALL_TRANSITION_KINDS = [
     LinkModelKind.M2,
@@ -352,6 +355,113 @@ class TestM7:
             fit_m7(source, other)
 
 
+def zero_first_column(sample):
+    features = sample.features.copy()
+    features[:, 0] = 0.0
+    return LabeledSample(features, sample.labels, sample.feature_names, sample.tag)
+
+
+@st.composite
+def m7_blocks(draw):
+    """A source sample, a block of equal-size learning samples, a fit
+    config and a cell budget that holds 1 to 4 pooled members per chunk.
+
+    Block sizes run past the chunk size without being multiples of it.
+    When some members are drawn with a zero feature, feature 0 is zero in
+    the source rows and in those members' learning rows: at ridge 0 their
+    pooled information is singular and their Newton steps fall back to
+    least squares.
+    """
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = LogisticParams(rng.normal(scale=0.5), rng.normal(size=d))
+    source = synthetic_sample(truth, draw(st.integers(40, 120)), rng, tag="source")
+    n = draw(st.integers(5, 30))
+    learnings = [synthetic_sample(truth, n, rng) for _ in range(draw(st.integers(1, 9)))]
+    zero = draw(st.lists(st.booleans(), min_size=len(learnings), max_size=len(learnings)))
+    ridge = draw(st.sampled_from([0.0, 1e-8, 0.5]))
+    if any(zero):
+        source = zero_first_column(source)
+        learnings = [zero_first_column(s) if z else s for s, z in zip(learnings, zero)]
+        ridge = 0.0
+    member_cells = (source.n_records + n) * (d + 1)
+    budget = draw(st.integers(1, 4)) * member_cells + draw(st.integers(0, member_cells - 1))
+    return source, learnings, FitConfig(ridge=ridge), budget
+
+
+def pooled_fit_mle(source, learning, config):
+    """The pooled refit as a plain fit_mle on the stacked rows."""
+    pooled = LabeledSample(
+        np.vstack([source.features, learning.features]),
+        np.concatenate([source.labels, learning.labels]),
+        learning.feature_names,
+    )
+    return fit_mle(pooled, config)
+
+
+def params_bits(params):
+    return np.concatenate(([params.intercept], params.coefficients)).tobytes()
+
+
+class TestM7Blocks:
+    @settings(max_examples=40)
+    @given(m7_blocks())
+    def test_member_equals_fit_m7_alone(self, block):
+        """Every member of a chunked block is bitwise fit_m7 on its sample
+        alone, and bitwise fit_mle on the stacked pooled rows."""
+        source, learnings, config, budget = block
+        with mock.patch.object(links_module, "_BLOCK_CELLS", budget):
+            fits = fit_m7s(source, learnings, config)
+        for fit, learning in zip(fits, learnings):
+            alone = fit_m7(source, learning, config)
+            report = pooled_fit_mle(source, learning, config)
+            assert params_bits(fit.target_params) == params_bits(alone.target_params)
+            assert params_bits(fit.target_params) == params_bits(report.params)
+            assert (fit.converged, fit.log_likelihood) == (alone.converged, alone.log_likelihood)
+            assert fit.converged == report.converged
+            assert fit.log_likelihood == log_likelihood(report.params, learning)
+
+    def test_zero_column_member_takes_least_squares(self, rng, monkeypatch):
+        truth = LogisticParams(0.3, np.array([0.8, -1.0]))
+        source = zero_first_column(synthetic_sample(truth, 80, rng, tag="source"))
+        learnings = [synthetic_sample(truth, 20, rng) for _ in range(3)]
+        learnings[1] = zero_first_column(learnings[1])
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        config = FitConfig(ridge=0.0)
+        fits = fit_m7s(source, learnings, config)
+        assert calls and all(shape == (3, 3) for shape in calls)
+        assert fits[1].target_params.coefficients[0] == 0.0
+        assert all(fit.converged for fit in fits)
+
+    def test_single_class_pooled_member_fails_alone(self, rng):
+        names = ("a",)
+        source = LabeledSample(rng.normal(size=(30, 1)), np.zeros(30, dtype=int), names, "source")
+        learnings = [
+            LabeledSample(rng.normal(size=(6, 1)), labels, names, "target")
+            for labels in ([0, 1, 0, 1, 0, 0], [0] * 6, [1, 1, 0, 0, 1, 0])
+        ]
+        fits = fit_m7s(source, learnings, FitConfig(ridge=0.0))
+        assert isinstance(fits[1], NumericalError)
+        for i in (0, 2):
+            alone = fit_m7(source, learnings[i], FitConfig(ridge=0.0))
+            assert params_bits(fits[i].target_params) == params_bits(alone.target_params)
+        with pytest.raises(NumericalError, match="single class"):
+            fit_m7(source, learnings[1], FitConfig(ridge=0.0))
+
+    def test_members_of_one_size(self, source, target):
+        small = draw_split(target, SplitPlan(50, 1), 0)[0]
+        large = draw_split(target, SplitPlan(100, 1), 0)[0]
+        with pytest.raises(ValueError, match="one size"):
+            fit_m7s(source, [small, large])
+
+
 class TestScoreTarget:
     def test_m3_shift_formula(self, source_fit, target):
         learning, _ = draw_split(target, SplitPlan(100, 1, seed=1), 0)
@@ -390,6 +500,17 @@ class TestTransferSerialization:
         assert again.transition.shift == fit.transition.shift
         np.testing.assert_array_equal(again.transition.scale, fit.transition.scale)
         assert again.log_likelihood == fit.log_likelihood
+
+    def test_nan_log_likelihood_is_not_json(self, source_fit):
+        fit = TransferFit(
+            kind=LinkModelKind.M7,
+            transition=None,
+            target_params=source_fit.params,
+            log_likelihood=float("nan"),
+            converged=False,
+        )
+        with pytest.raises(ValueError, match="JSON compliant"):
+            fit.to_json()
 
     def test_m1_serialized_fields(self, source_fit, target):
         fit = estimate_transition(LinkModelKind.M1, source_fit.params, target)

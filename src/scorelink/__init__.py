@@ -36,13 +36,11 @@ from .links import (
     compose,
     estimate_transition,
     fit_m7,
-    score_target,
 )
 from .logistic import (
     FitConfig,
     FitReport,
     LogisticParams,
-    classify,
     fit_mle,
     gradient,
     hessian,
@@ -68,7 +66,6 @@ __all__ = [
     "TransferFit",
     "TransitionParams",
     "apply_link",
-    "classify",
     "compose",
     "confusion",
     "draw_split",
@@ -85,7 +82,6 @@ __all__ = [
     "roc",
     "sample_mixture",
     "score",
-    "score_target",
     "split_by_account_status",
     "verify_link_consistency",
 ]

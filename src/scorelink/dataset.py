@@ -49,15 +49,17 @@ class LabeledSample:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         if labels.shape != (feats.shape[0],):
             raise DataError("labels must be a vector matching the row count")
         if feats.shape[0] == 0:
             raise DataError("empty dataset")
-        if not np.all((labels == 0) | (labels == 1)):
+        # checked before the cast to int, which would turn 0.6 into 0
+        if labels.dtype.kind not in "biuf" or not np.all((labels == 0) | (labels == 1)):
             raise DataError("labels must be 0 or 1")
+        labels = labels.astype(int, copy=False)
         if len(self.feature_names) != feats.shape[1]:
             raise DataError("feature_names length must equal the column count")
         if self.tag not in _TAGS:
@@ -97,7 +99,6 @@ class SplitPlan:
     learning_size: int
     repetitions: int = 1
     seed: int = 0
-    stratified: bool = False
 
     def __post_init__(self):
         if self.learning_size < 1:
@@ -261,11 +262,7 @@ def split_rows(
     if n >= total:
         raise DataError(f"learning_size {n} must be smaller than the target size {total}")
 
-    rng = _philox(plan.seed, n, repetition_index)
-    if plan.stratified:
-        chosen = _stratified_choice(target.labels, n, rng)
-    else:
-        chosen = rng.permutation(total)[:n]
+    chosen = _philox(plan.seed, n, repetition_index).permutation(total)[:n]
     mask = np.zeros(total, dtype=bool)
     mask[chosen] = True
     return np.flatnonzero(mask), np.flatnonzero(~mask)
@@ -281,18 +278,3 @@ def draw_split(
     learning_rows, test_rows = split_rows(target, plan, repetition_index)
     return target.subset(learning_rows), target.subset(test_rows)
 
-
-def _stratified_choice(labels: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    # per-class quotas by largest remainder, then a uniform draw inside each class
-    total = labels.shape[0]
-    classes = [np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)]
-    exact = [n * len(idx) / total for idx in classes]
-    quota = [int(np.floor(e)) for e in exact]
-    order = sorted(range(2), key=lambda k: exact[k] - quota[k], reverse=True)
-    for k in order:
-        if sum(quota) == n:
-            break
-        if quota[k] < len(classes[k]):
-            quota[k] += 1
-    chosen = [rng.permutation(len(idx))[:q] for idx, q in zip(classes, quota)]
-    return np.concatenate([idx[c] for idx, c in zip(classes, chosen)])

@@ -21,7 +21,7 @@ is the familiar AUC.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,20 +98,39 @@ class RocCurve:
         return np.column_stack([self.miss_rate, self.specificity])
 
 
-def _tally(scores: np.ndarray, labels: np.ndarray, threshold: float) -> ConfusionCounts:
+def _tally(scores: np.ndarray, labels: np.ndarray, threshold: float) -> tuple[np.ndarray, ...]:
+    """(TP, FP, TN, FN) along the last axis of a stack of score vectors.
+
+    ``scores`` and ``labels`` broadcast to one stack of shape (..., n);
+    each count comes back as an integer array of the stack's shape.
+    """
     predicted = scores >= threshold
     actual = labels == 1
-    return ConfusionCounts(
-        true_positive=int(np.sum(predicted & actual)),
-        false_positive=int(np.sum(predicted & ~actual)),
-        true_negative=int(np.sum(~predicted & ~actual)),
-        false_negative=int(np.sum(~predicted & actual)),
-    )
+    true_positive = np.count_nonzero(predicted & actual, axis=-1)
+    false_positive = np.count_nonzero(predicted, axis=-1) - true_positive
+    false_negative = np.count_nonzero(actual, axis=-1) - true_positive
+    true_negative = scores.shape[-1] - true_positive - false_positive - false_negative
+    return true_positive, false_positive, true_negative, false_negative
+
+
+def _rates(true_positive, false_positive, true_negative, false_negative):
+    """Test error, Type I and Type II rates of integer count arrays.
+
+    A conditional rate whose conditioning class is empty is NaN (0 / 0).
+    Each rate is one correctly rounded division of two exact integers.
+    """
+    with np.errstate(invalid="ignore"):
+        test_error = (false_positive + false_negative) / (
+            true_positive + false_positive + true_negative + false_negative
+        )
+        type_i = false_positive / (false_positive + true_negative)
+        type_ii = false_negative / (false_negative + true_positive)
+    return test_error, type_i, type_ii
 
 
 def _validate_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1:
         raise DataError("scores and labels must be 1-d")
     if scores.shape[0] != labels.shape[0]:
@@ -120,37 +139,39 @@ def _validate_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         )
     if scores.shape[0] == 0:
         raise DataError("empty input")
-    return scores, labels
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
+    if labels.dtype.kind not in "biuf" or not np.all((labels == 0) | (labels == 1)):
+        raise DataError("labels must be 0 or 1")
+    return scores, labels.astype(int)
 
 
 def confusion(scores, labels, threshold: float = 0.5) -> ConfusionCounts:
-    """Tally predictions (score >= threshold means predicted creditworthy)."""
+    """Tally predictions (score >= threshold means predicted creditworthy).
+
+    The block of one of the tally the experiment runs over every fit of a
+    block of repetitions at once.
+    """
     scores, labels = _validate_scores_labels(scores, labels)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie strictly in (0, 1), got {threshold}")
-    return _tally(scores, labels, threshold)
+    return ConfusionCounts(*(int(count) for count in _tally(scores, labels, threshold)))
 
 
 def error_report(counts: ConfusionCounts, threshold: float = 0.5) -> ErrorReport:
     """Turn counts into the three error rates."""
-    total = counts.total
-    if total == 0:
+    if counts.total == 0:
         raise ValueError("counts sum to zero")
-    undefined = []
-    negatives = counts.false_positive + counts.true_negative
-    positives = counts.false_negative + counts.true_positive
-    type_i = counts.false_positive / negatives if negatives else 0.0
-    if not negatives:
-        undefined.append("type_i")
-    type_ii = counts.false_negative / positives if positives else 0.0
-    if not positives:
-        undefined.append("type_ii")
+    test_error, type_i, type_ii = (float(rate) for rate in _rates(*np.array(astuple(counts))))
+    undefined = tuple(
+        name for name, rate in (("type_i", type_i), ("type_ii", type_ii)) if np.isnan(rate)
+    )
     return ErrorReport(
-        test_error=(counts.false_positive + counts.false_negative) / total,
-        type_i=type_i,
-        type_ii=type_ii,
+        test_error=test_error,
+        type_i=0.0 if "type_i" in undefined else type_i,
+        type_ii=0.0 if "type_ii" in undefined else type_ii,
         threshold=threshold,
-        undefined=tuple(undefined),
+        undefined=undefined,
     )
 
 

@@ -9,12 +9,15 @@ the three error rates over repetitions.
 A work unit is one learning size with a block of its repetitions: M2-M6
 are fitted for the whole block by one batched Newton call per model, and
 M7 by a few calls over chunks of it, each fit bitwise the one its
-repetition alone would get. An error rate whose conditioning class is
-empty in a test split is recorded as NaN and left out of that metric's
-mean, standard deviation and ``repetitions_used``. Units may run in a
-process pool; raw records are sorted by (learning size, repetition, model)
-before any reduction, so serial and parallel runs emit byte-identical
-outputs.
+repetition alone would get. After the fits, the block is evaluated in
+array passes: every fit's scores on its test split, the four confusion
+counts and the three rates of all (repetition, model) pairs at once, each
+bitwise what ``confusion`` and ``error_report`` give that pair alone.
+An error rate whose conditioning class is empty in a test split is
+recorded as NaN and left out of that metric's mean, standard deviation
+and ``repetitions_used``. Units may run in a process pool; raw records
+are sorted by (learning size, repetition, model) before any reduction, so
+serial and parallel runs emit byte-identical outputs.
 Partitions are drawn per (seed, n, repetition) -- independent across
 learning sizes, shared across models within a repetition.
 """
@@ -31,18 +34,17 @@ import numpy as np
 
 from . import __version__
 from .dataset import LabeledSample, SplitPlan, draw_split, split_rows
-from .evaluation import RocCurve, error_report, roc, write_roc_csv, write_roc_svg, _tally
+from .evaluation import RocCurve, _rates, _tally, roc, write_roc_csv, write_roc_svg
 from .exceptions import NumericalError
 from .links import (
     LinkModelKind,
-    TransferFit,
     _chunks,
+    _m7_block,
+    _transition_block,
     estimate_transition,
-    estimate_transitions,
     fit_m7,
-    fit_m7s,
 )
-from .logistic import FitConfig, FitReport, LogisticParams, fit_mle, score
+from .logistic import FitConfig, FitReport, LogisticParams, _matvec, fit_mle, score, sigmoid
 
 ALL_MODELS = tuple(LinkModelKind)
 _METRICS = ("test_error", "type_i", "type_ii")
@@ -140,19 +142,7 @@ class ExperimentResult:
 
     @property
     def failures(self) -> int:
-        return sum(r.failed for r in self.records)
-
-
-def _fit_model(
-    kind: LinkModelKind,
-    source_sample: LabeledSample,
-    source_params: LogisticParams,
-    learning: LabeledSample,
-    fit_config: FitConfig,
-) -> TransferFit:
-    if kind is LinkModelKind.M7:
-        return fit_m7(source_sample, learning, fit_config)
-    return estimate_transition(kind, source_params, learning, fit_config)
+        return sum(1 for r in self.records if r.failed)
 
 
 def _blocks(config: ExperimentConfig, dimension: int) -> list[tuple[int, range]]:
@@ -178,69 +168,75 @@ def _run_unit(
 
     M2-M6 are fitted for the whole block by one batched Newton call per
     model; M7, a refit on the pooled source rows, by one call per chunk of
-    the block within the cell budget.
+    the block within the cell budget. The fits come back as arrays, and
+    all of them are scored, tallied and turned into rates in array passes
+    (:func:`_block_counts`, :func:`scorelink.evaluation._rates`).
     """
     plan = SplitPlan(learning_size, config.repetitions, config.seed)
     rows = [split_rows(target, plan, r) for r in repetitions]
     learning_rows = np.array([learning for learning, _ in rows])
+    test_rows = np.array([test for _, test in rows])
     features = np.take(target.features, learning_rows, axis=0)
     labels = np.take(target.labels, learning_rows, axis=0)
     learnings = [
         LabeledSample(x, y, target.feature_names, target.tag) for x, y in zip(features, labels)
     ]
-    fits = {
-        kind: fit_m7s(source_sample, learnings, config.fit)
+    blocks = [
+        _m7_block(source_sample, learnings, config.fit)
         if kind is LinkModelKind.M7
-        else estimate_transitions(kind, source_params, learnings, config.fit)
+        else _transition_block(kind, source_params, learnings, config.fit)
         for kind in config.models
-    }
+    ]
 
-    records = []
-    for i, repetition in enumerate(repetitions):
-        test = target.subset(rows[i][1])
-        for kind in config.models:
-            try:
-                fit = fits[kind][i]
-                if isinstance(fit, NumericalError):
-                    raise fit
-                scores = score(fit.target_params, test.features)
-                counts = _tally(scores, test.labels, config.threshold)
-                report = error_report(counts, config.threshold)
-                rates = {metric: getattr(report, metric) for metric in _METRICS}
-                rates.update(dict.fromkeys(report.undefined, float("nan")))
-                records.append(
-                    RepetitionRecord(
-                        learning_size=learning_size,
-                        repetition=repetition,
-                        model=kind.value,
-                        converged=fit.converged,
-                        log_likelihood=fit.log_likelihood,
-                        true_positive=counts.true_positive,
-                        false_positive=counts.false_positive,
-                        true_negative=counts.true_negative,
-                        false_negative=counts.false_negative,
-                        **rates,
-                    )
-                )
-            except (NumericalError, np.linalg.LinAlgError):
-                records.append(
-                    RepetitionRecord(
-                        learning_size=learning_size,
-                        repetition=repetition,
-                        model=kind.value,
-                        converged=False,
-                        log_likelihood=float("nan"),
-                        true_positive=0,
-                        false_positive=0,
-                        true_negative=0,
-                        false_negative=0,
-                        test_error=float("nan"),
-                        type_i=float("nan"),
-                        type_ii=float("nan"),
-                        failed=True,
-                    )
-                )
-    return records
+    # (model, repetition) tables; a failed fit has zero parameters, and its
+    # record keeps no counts, so that its rates are NaN
+    failed = np.array([[error is not None for error in block.errors] for block in blocks])
+    counts = _block_counts(
+        target,
+        test_rows,
+        np.stack([block.intercepts for block in blocks]),
+        np.stack([block.coefficients for block in blocks]),
+        config.threshold,
+    )
+    counts[:, failed] = 0
+    columns = [
+        [block.converged for block in blocks],
+        [block.log_likelihoods for block in blocks],
+        *counts.tolist(),
+        *(rate.tolist() for rate in _rates(*counts)),
+        failed.tolist(),
+    ]
+    per_model = [list(zip(*(column[k] for column in columns))) for k in range(len(blocks))]
+    return [
+        RepetitionRecord(learning_size, repetition, kind.value, *per_model[k][i])
+        for i, repetition in enumerate(repetitions)
+        for k, kind in enumerate(config.models)
+    ]
+
+
+def _block_counts(target, test_rows, intercepts, coefficients, threshold) -> np.ndarray:
+    """(TP, FP, TN, FN) of each (model, repetition) fit on its test rows.
+
+    ``test_rows`` (R, t) holds each repetition's test rows, ``intercepts``
+    (K, R) and ``coefficients`` (K, R, d) the target parameters of the K
+    models' fits; the result has shape (4, K, R). The test features of a
+    chunk of repetitions are gathered into one (chunk, t, d) stack, so
+    every fit's linear predictor is one BLAS product over the rows of its
+    test split alone, as in :func:`scorelink.logistic.score`: every score,
+    and so every count, is bitwise that of ``confusion(score(params,
+    test.features), test.labels, threshold)``. Chunks keep the stack and
+    the scores within ``_BLOCK_CELLS`` cells each.
+    """
+    models, repetitions = intercepts.shape
+    counts = np.empty((4, models, repetitions), dtype=int)
+    per_repetition = test_rows.shape[1] * max(target.dimension, models)
+    for chunk in _chunks(repetitions, per_repetition):
+        chunk = slice(chunk.start, chunk.stop)
+        x = np.take(target.features, test_rows[chunk], axis=0)
+        eta = intercepts[:, chunk, None] + _matvec(x, coefficients[:, chunk])
+        labels = np.take(target.labels, test_rows[chunk], axis=0)
+        counts[:, :, chunk] = _tally(sigmoid(eta), labels, threshold)
+    return counts
 
 
 _WORKER_STATE: dict = {}
@@ -308,6 +304,10 @@ def run_experiment(
 def _aggregate(records, config: ExperimentConfig) -> dict[str, ResultTable]:
     models = tuple(kind.value for kind in config.models)
     sizes = config.learning_sizes
+    # one pass groups the records; each cell keeps them in repetition order
+    cells = {}
+    for r in records:
+        cells.setdefault((r.model, r.learning_size), []).append(r)
     tables = {}
     for metric in _METRICS:
         means = np.full((len(models), len(sizes)), np.nan)
@@ -316,13 +316,7 @@ def _aggregate(records, config: ExperimentConfig) -> dict[str, ResultTable]:
         for i, model in enumerate(models):
             for j, n in enumerate(sizes):
                 # failed records and undefined rates hold NaN
-                values = np.array(
-                    [
-                        getattr(r, metric)
-                        for r in records
-                        if r.model == model and r.learning_size == n
-                    ]
-                )
+                values = np.array([getattr(r, metric) for r in cells.get((model, n), ())])
                 values = values[~np.isnan(values)]
                 used[i, j] = values.shape[0]
                 if values.shape[0]:
@@ -354,7 +348,10 @@ def emit_roc_suite(
 
     curves = {}
     for kind in config.models:
-        fit = _fit_model(kind, source, source_params, learning, config.fit)
+        if kind is LinkModelKind.M7:
+            fit = fit_m7(source, learning, config.fit)
+        else:
+            fit = estimate_transition(kind, source_params, learning, config.fit)
         scores = score(fit.target_params, test.features)
         curves[kind.value] = roc(scores, test.labels)
 
@@ -431,8 +428,9 @@ def _round3(value: float) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
+    # numpy scalars format as Python's: repr(np.float64(0.25)) is "np.float64(0.25)"
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return "" if np.isnan(value) else repr(value)
+    if isinstance(value, (float, np.floating)):
+        return "" if np.isnan(value) else repr(float(value))
     return str(value)

@@ -40,6 +40,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +49,11 @@ from .exceptions import NumericalError
 from .logistic import (
     FitConfig,
     LogisticParams,
+    _log_likelihood,
+    _matvec,
     _require_two_classes,
-    log_likelihood,
     maximize_logistic,
     maximize_logistic_batch,
-    score,
 )
 
 # below this magnitude a source coefficient makes its scale unidentifiable
@@ -63,6 +64,8 @@ IDENTIFIABILITY_EPS = 1e-10
 # pooled M7 design of a chunk of one. That design, the engine's weighted
 # copy of it and the block's learning features are the transient arrays of
 # a call, each at most this many doubles: 3 x 8 bytes x 2**16 cells = 1.5 MB.
+# The experiment's scoring pass gathers test features and scores in chunks
+# within the same budget.
 _BLOCK_CELLS = 2**16
 
 
@@ -116,7 +119,7 @@ class TransitionParams:
         scale = np.asarray(self.scale, dtype=float)
         if scale.ndim != 1:
             raise ValueError("scale must be a 1-d vector")
-        if not (np.isfinite(self.shift) and np.all(np.isfinite(scale))):
+        if not (np.isfinite(self.shift) and np.isfinite(scale).all()):
             raise ValueError("transition parameters must be finite")
         scale.setflags(write=False)
         object.__setattr__(self, "shift", float(self.shift))
@@ -221,6 +224,79 @@ def estimate_transitions(
     parameters that are not finite) gets its NumericalError in place of
     a fit; the other members are unaffected.
     """
+    return _transition_block(kind, source, learnings, config).fits()
+
+
+class _Block(NamedTuple):
+    """The fits of a block of learning samples as arrays, a row per member.
+
+    ``errors[i]`` is the NumericalError of a member without a finite fit,
+    else None; that member's row holds zero parameters, a NaN
+    log-likelihood and ``converged`` False. ``shift`` (B,) and ``scale``
+    (B, d) are the links of M1-M6, None for M7.
+    """
+
+    kind: LinkModelKind
+    errors: list
+    intercepts: np.ndarray  # (B,)
+    coefficients: np.ndarray  # (B, d)
+    log_likelihoods: list
+    converged: list
+    shift: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    unidentifiable: tuple[int, ...] = ()
+
+    def fits(self) -> list[TransferFit | NumericalError]:
+        """Each member's TransferFit, or its error."""
+        return [
+            error
+            if error is not None
+            else TransferFit(
+                kind=self.kind,
+                transition=None if self.shift is None
+                else TransitionParams(self.shift[i], self.scale[i]),
+                target_params=LogisticParams(self.intercepts[i], self.coefficients[i]),
+                log_likelihood=self.log_likelihoods[i],
+                converged=self.converged[i],
+                unidentifiable=self.unidentifiable,
+            )
+            for i, error in enumerate(self.errors)
+        ]
+
+
+def _finish_block(kind, learnings, errors, intercepts, coefficients, converged, **link) -> _Block:
+    """The _Block of a block's target parameters, checked and evaluated.
+
+    A member whose parameters are not all finite gets its NumericalError.
+    The log-likelihoods come from one kernel call over the stacked
+    learning samples, a BLAS product per member on the layout of the
+    sample alone, so each is bitwise ``log_likelihood(params, learning)``.
+    """
+    if not errors:  # an empty block
+        return _Block(kind, errors, intercepts, coefficients, [], [], **link)
+    finite = np.isfinite(intercepts) & np.isfinite(coefficients).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        errors[i] = errors[i] or NumericalError(f"{kind.value} fit has non-finite parameters")
+    fitted = np.array([error is None for error in errors])
+    intercepts = np.where(fitted, intercepts, 0.0)
+    coefficients = np.where(fitted[:, None], coefficients, 0.0)
+    eta = intercepts[:, None] + _matvec(
+        np.stack([learning.features for learning in learnings]), coefficients
+    )
+    likelihoods = _log_likelihood(np.stack([learning.labels for learning in learnings]), eta)
+    return _Block(
+        kind,
+        errors,
+        intercepts,
+        coefficients,
+        np.where(fitted, likelihoods, np.nan).tolist(),
+        (fitted & converged).tolist(),
+        **link,
+    )
+
+
+def _transition_block(kind, source, learnings, config) -> _Block:
+    """The fits of :func:`estimate_transitions`, as a _Block."""
     if kind is LinkModelKind.M7:
         raise ValueError("M7 is a pooled refit; use fit_m7")
     d = source.dimension
@@ -237,44 +313,60 @@ def estimate_transitions(
     if scale_kind == "per-coefficient":
         free = np.abs(source.coefficients) > IDENTIFIABILITY_EPS
 
-    outcomes: list = [None] * len(learnings)
-    solutions = {}
-    if shift_free or scale_kind != "fixed":  # every kind but M1 has a design
+    errors: list = [None] * len(learnings)
+    shift, scale = np.zeros(len(learnings)), np.ones((len(learnings), d))
+    converged = np.ones(len(learnings), dtype=bool)
+    has_design = shift_free or scale_kind != "fixed"  # every kind but M1
+    if has_design:
         for i, learning in enumerate(learnings):
             try:
                 _require_two_classes(learning.class_counts(), config.ridge)
             except NumericalError as err:
-                outcomes[i] = err
-        fitted = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        if fitted:
-            design, offset = _link_design(shift_free, scale_kind, free, source, learnings, fitted)
-            labels = np.stack([learnings[i].labels for i in fitted]).astype(float)
-            width = design.shape[-1]
-            center = np.ones(width)
-            center[: int(shift_free)] = 0.0
-            newton = dict(
-                penalty=np.full(width, config.ridge),
-                center=center,
-                start=center,
-                max_iterations=config.max_iterations,
-                gradient_tolerance=config.gradient_tolerance,
-            )
-            # a lone fit is one call of the 2-D entry point, which is where
-            # the benchmark's tracer and the optimizer audit observe it
-            if len(fitted) == 1:
-                results = [maximize_logistic(design[0], labels[0], offset[0], **newton)]
-            else:
-                results = maximize_logistic_batch(design, labels, offset, **newton)
-            solutions = {i: (r.x, r.converged) for i, r in zip(fitted, results)}
+                errors[i] = err
+    fitted = [i for i, error in enumerate(errors) if error is None]
+    if has_design and fitted:
+        design, offset = _link_design(shift_free, scale_kind, free, source, learnings, fitted)
+        labels = np.stack([learnings[i].labels for i in fitted]).astype(float)
+        width = design.shape[-1]
+        center = np.ones(width)
+        center[: int(shift_free)] = 0.0
+        newton = dict(
+            penalty=np.full(width, config.ridge),
+            center=center,
+            start=center,
+            max_iterations=config.max_iterations,
+            gradient_tolerance=config.gradient_tolerance,
+        )
+        # a lone fit is one call of the 2-D entry point, which is where
+        # the benchmark's tracer and the optimizer audit observe it
+        if len(fitted) == 1:
+            results = [maximize_logistic(design[0], labels[0], offset[0], **newton)]
+        else:
+            results = maximize_logistic_batch(design, labels, offset, **newton)
+        x = np.array([result.x for result in results])
+        converged[fitted] = [result.converged for result in results]
+        if shift_free:
+            shift[fitted] = x[:, 0]
+        if scale_kind == "common":
+            scale[fitted] = x[:, -1:]
+        else:
+            scale[np.ix_(fitted, free)] = x[:, int(shift_free):]
 
-    for i, learning in enumerate(learnings):
-        if outcomes[i] is None:
-            x, converged = solutions.get(i, (np.zeros(0), True))
-            try:
-                outcomes[i] = _transfer_fit(kind, source, learning, free, x, converged)
-            except NumericalError as err:
-                outcomes[i] = err
-    return outcomes
+    # the links of all members at once, elementwise the arithmetic of compose
+    pinned = ()
+    if scale_kind == "per-coefficient":
+        pinned = tuple(int(j) for j in np.flatnonzero(~free))
+    return _finish_block(
+        kind,
+        learnings,
+        errors,
+        source.intercept + shift,
+        scale * source.coefficients,
+        converged,
+        shift=shift,
+        scale=scale,
+        unidentifiable=pinned,
+    )
 
 
 def _link_design(shift_free, scale_kind, free, source, learnings, members):
@@ -311,32 +403,6 @@ def _link_design(shift_free, scale_kind, free, source, learnings, members):
     return design, offset
 
 
-def _transfer_fit(kind, source, learning, free, x, converged) -> TransferFit:
-    """Unpack the free parameters ``x`` of one member into its TransferFit."""
-    shift_free, scale_kind = _GRID[kind]
-    scale = np.ones(source.dimension)
-    if scale_kind == "common":
-        scale[:] = x[-1]
-    else:
-        scale[free] = x[int(shift_free):]
-    try:
-        transition = TransitionParams(x[0] if shift_free else 0.0, scale)
-        target = compose(source, transition)
-    except ValueError as err:  # dimensions are checked, so a parameter is not finite
-        raise NumericalError(f"{kind.value} fit has non-finite parameters") from err
-    pinned = ()
-    if scale_kind == "per-coefficient":
-        pinned = tuple(int(j) for j in np.flatnonzero(~free))
-    return TransferFit(
-        kind=kind,
-        transition=transition,
-        target_params=target,
-        log_likelihood=log_likelihood(target, learning),
-        converged=converged,
-        unidentifiable=pinned,
-    )
-
-
 def fit_m7(
     source_sample: LabeledSample,
     learning: LabeledSample,
@@ -362,15 +428,16 @@ def fit_m7s(
 
     The members go through the batched Newton engine in near-equal chunks,
     each within ``_BLOCK_CELLS`` cells of its stacked pooled design, and
-    each fit is bitwise that of :func:`fit_m7` on its sample alone. The
-    pooled design ``[1, X]``, labels and offsets are allocated once per
-    block, with the intercept column and the source rows written in once;
-    a chunk overwrites only the learning rows. The engine's compaction
-    moves whole member rows, and every member has the same source rows,
-    so they stay intact. A member with no finite answer (a single class at
-    ridge 0, or fitted parameters that are not finite) gets its
-    NumericalError in place of a fit.
+    each fit is bitwise that of :func:`fit_m7` on its sample alone. A
+    member with no finite answer (a single class at ridge 0, or fitted
+    parameters that are not finite) gets its NumericalError in place of a
+    fit.
     """
+    return _m7_block(source_sample, learnings, config).fits()
+
+
+def _m7_block(source_sample, learnings, config) -> _Block:
+    """The fits of :func:`fit_m7s`, as a _Block."""
     d = source_sample.dimension
     if d < 1:
         raise ValueError("sample must have at least one feature")
@@ -383,19 +450,33 @@ def fit_m7s(
     if len({learning.n_records for learning in learnings}) > 1:
         raise ValueError("the learning samples of a block must be of one size")
 
-    outcomes: list = [None] * len(learnings)
+    errors: list = [None] * len(learnings)
     source_zeros, source_ones = source_sample.class_counts()
     for i, learning in enumerate(learnings):
         zeros, ones = learning.class_counts()
         try:
             _require_two_classes((source_zeros + zeros, source_ones + ones), config.ridge)
         except NumericalError as err:
-            outcomes[i] = err
-    fitted = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not fitted:
-        return outcomes
+            errors[i] = err
+    fitted = [i for i, error in enumerate(errors) if error is None]
+    x = np.zeros((len(learnings), d + 1))
+    converged = np.zeros(len(learnings), dtype=bool)
+    if fitted:
+        x[fitted], converged[fitted] = _pooled_fits(source_sample, learnings, fitted, config)
+    return _finish_block(LinkModelKind.M7, learnings, errors, x[:, 0], x[:, 1:], converged)
 
-    m, n = source_sample.n_records, learnings[fitted[0]].n_records
+
+def _pooled_fits(source_sample, learnings, fitted, config):
+    """The solutions and convergence flags of the pooled refits of the
+    members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``.
+
+    The pooled design ``[1, X]``, labels and offsets are allocated once per
+    block, with the intercept column and the source rows written in once;
+    a chunk overwrites only the learning rows. The engine's compaction
+    moves whole member rows, and every member has the same source rows,
+    so they stay intact.
+    """
+    (m, d), n = source_sample.features.shape, learnings[fitted[0]].n_records
     chunks = _chunks(len(fitted), (m + n) * (d + 1))
     # each member a C-contiguous (m + n, d + 1) slab, the layout of the
     # single fit's design, so that BLAS sums every member in the same order
@@ -410,6 +491,7 @@ def fit_m7s(
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
     )
+    results = []
     for chunk in chunks:
         members = [fitted[k] for k in chunk]
         for row, i in enumerate(members):
@@ -417,33 +499,8 @@ def fit_m7s(
             labels[row, m:] = learnings[i].labels
         # a lone fit is one call of the 2-D entry point, as in estimate_transitions
         if len(members) == 1:
-            results = [maximize_logistic(design[0], labels[0], **newton)]
+            results.append(maximize_logistic(design[0], labels[0], **newton))
         else:
             k = len(members)
-            results = maximize_logistic_batch(design[:k], labels[:k], offset[:k], **newton)
-        for i, result in zip(members, results):
-            try:
-                outcomes[i] = _m7_fit(learnings[i], result)
-            except NumericalError as err:
-                outcomes[i] = err
-    return outcomes
-
-
-def _m7_fit(learning: LabeledSample, result) -> TransferFit:
-    """The TransferFit of one member's pooled Newton result."""
-    try:
-        params = LogisticParams(result.x[0], result.x[1:])
-    except ValueError as err:  # dimensions match, so a parameter is not finite
-        raise NumericalError("M7 fit has non-finite parameters") from err
-    return TransferFit(
-        kind=LinkModelKind.M7,
-        transition=None,
-        target_params=params,
-        log_likelihood=log_likelihood(params, learning),
-        converged=result.converged,
-    )
-
-
-def score_target(fit: TransferFit, x) -> np.ndarray | float:
-    """Posterior probability of label 1 under the transferred score function."""
-    return score(fit.target_params, x)
+            results += maximize_logistic_batch(design[:k], labels[:k], offset[:k], **newton)
+    return [result.x for result in results], [result.converged for result in results]

@@ -56,7 +56,7 @@ class LogisticParams:
         coefs = np.asarray(self.coefficients, dtype=float)
         if coefs.ndim != 1:
             raise ValueError("coefficients must be a 1-d vector")
-        if not (np.isfinite(self.intercept) and np.all(np.isfinite(coefs))):
+        if not (np.isfinite(self.intercept) and np.isfinite(coefs).all()):
             raise ValueError("parameters must be finite")
         coefs.setflags(write=False)
         object.__setattr__(self, "intercept", float(self.intercept))
@@ -457,12 +457,3 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
         objective_trace=result.objective_trace,
     )
 
-
-def classify(params: LogisticParams, x, threshold: float = 0.5):
-    """Predict label 1 when the score is >= threshold (0 < threshold < 1)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly in (0, 1), got {threshold}")
-    s = score(params, x)
-    if np.ndim(s) == 0:
-        return int(s >= threshold)
-    return (s >= threshold).astype(int)

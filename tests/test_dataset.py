@@ -67,6 +67,10 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label must be 0 or 1"):
             load_csv(path)
 
+    def test_fractional_label_rejected_before_cast(self):
+        with pytest.raises(DataError, match="0 or 1"):
+            LabeledSample(np.zeros((2, 1)), [0.6, 1.0], ("a",))
+
     def test_write_read_roundtrip(self, tmp_path, target):
         path = tmp_path / "target.csv"
         write_csv(target, path)
@@ -175,13 +179,6 @@ class TestDrawSplit:
     def test_repetition_out_of_range(self, target):
         with pytest.raises(DataError, match="repetition_index"):
             draw_split(target, SplitPlan(50, 10, seed=0), 10)
-
-    def test_stratified_mode_preserves_class_shares(self, target):
-        plan = SplitPlan(100, 1, seed=5, stratified=True)
-        learning, _ = draw_split(target, plan, 0)
-        zeros, ones = learning.class_counts()
-        # target is 135/139; quotas by largest remainder
-        assert (zeros, ones) == (49, 51)
 
 
 # computed once from the implementation and frozen (regression anchors)

@@ -40,6 +40,15 @@ class TestConfusion:
         with pytest.raises(ValueError, match="threshold"):
             confusion([0.5], [1], 0.0)
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="finite"):
+            confusion([0.9, np.nan, 0.2, 0.7], [1, 1, 0, 0], 0.5)
+
+    @pytest.mark.parametrize("label", [2, 0.6])
+    def test_label_outside_zero_one_rejected(self, label):
+        with pytest.raises(DataError, match="0 or 1"):
+            confusion([0.9, 0.8, 0.2, 0.7], [1, label, 0, 0], 0.5)
+
     def test_counts_sum_to_total(self, rng):
         scores = rng.random(200)
         labels = rng.integers(0, 2, 200)
@@ -121,6 +130,10 @@ class TestRoc:
         assert (curve.miss_rate[-1], curve.specificity[-1]) == (1.0, 1.0)
         assert np.all(np.diff(curve.miss_rate) >= 0)
         assert np.all(np.diff(curve.specificity) >= 0)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="finite"):
+            roc([0.9, np.nan, 0.2, 0.7], [1, 1, 0, 0])
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):

@@ -1,16 +1,38 @@
 import csv
 import dataclasses
+import hashlib
 import json
+from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scorelink.experiment as experiment_module
 import scorelink.links as links_module
-from scorelink import FitConfig, LabeledSample, LinkModelKind, fit_mle
+from scorelink import (
+    FitConfig,
+    LabeledSample,
+    LinkModelKind,
+    LogisticParams,
+    NumericalError,
+    SplitPlan,
+    cli,
+    confusion,
+    draw_split,
+    error_report,
+    estimate_transition,
+    fit_m7,
+    fit_mle,
+    score,
+)
+from scorelink.evaluation import _rates
 from scorelink.experiment import (
     ExperimentConfig,
+    _block_counts,
     _blocks,
     _run_unit,
     emit_roc_suite,
@@ -161,6 +183,58 @@ class TestOutputs:
             emit_roc_suite(source, target, small_config, out_dir=out)
             outs.append(read_dir(out))
         assert outs[0] == outs[1]
+
+    def test_numpy_scalars_write_python_bytes(self, small_result, tmp_path):
+        """Records holding numpy scalars write the bytes of Python ones."""
+        as_numpy = {bool: np.bool_, int: np.int64, float: np.float64}
+        records = tuple(
+            dataclasses.replace(
+                r,
+                **{
+                    f.name: as_numpy[type(getattr(r, f.name))](getattr(r, f.name))
+                    for f in dataclasses.fields(r)
+                    if type(getattr(r, f.name)) in as_numpy
+                },
+            )
+            for r in small_result.records
+        )
+        assert isinstance(records[0].log_likelihood, np.float64)
+        assert isinstance(records[0].failed, np.bool_)
+        write_experiment_outputs(small_result, tmp_path / "python")
+        write_experiment_outputs(
+            dataclasses.replace(small_result, records=records), tmp_path / "numpy"
+        )
+        raw = [(tmp_path / side / "raw_records.csv").read_bytes() for side in ("python", "numpy")]
+        assert raw[0] == raw[1]
+
+
+# sha256 of the `scorelink experiment --sizes 50,200 --repetitions 5` outputs
+# on the packaged german.csv (seed 0). Computed once and frozen.
+GOLDEN_SHA256 = {
+    "raw_records.csv": "c98b9c98d92f4411b9f9733a62c229d91074a2425dc0a2014d81b9613bc8dba1",
+    "tables_test_error.csv": "2564b04dbbec654bf193c6b60c15e47bb0f8b82dcd6a5fd39eeef7d28f7fcdf7",
+    "tables_type_i.csv": "ab79c732a0929d7bd23ff5dab0afdc062f6cbcd57183f3b28a69f47b116dc787",
+    "tables_type_ii.csv": "9f2aea02a3d8e60da8d0456b21f186b1ed6cdb30af5a1ba84addc7a973703df7",
+}
+
+
+class TestGoldenBytes:
+    def test_german_outputs_match_frozen_digests(self, tmp_path, capsys):
+        """Pins the bytes of the raw records and the three tables, so that
+        any drift in a fit, a count or a rate fails here. A deliberate
+        numerical re-baseline (such as warm-starting M7 at the source fit)
+        updates these digests in the same change and says so."""
+        data = resources.files("scorelink").joinpath("data/german.csv")
+        with resources.as_file(data) as path:
+            argv = ["experiment", "--data", str(path), "--out", str(tmp_path),
+                    "--sizes", "50,200", "--repetitions", "5"]
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert digests == GOLDEN_SHA256
 
 
 class TestRocSuite:
@@ -346,3 +420,116 @@ class TestUndefinedRates:
         for model, count in used.items():
             rows = [r for r in raw if r["model"] == model]
             assert count == sum(r["type_i"] != "" for r in rows) < len(rows)
+
+
+@st.composite
+def scored_blocks(draw):
+    """A target sample, equal-size test splits of it, and the parameters
+    of K fits per split, with ties at the cut-off and single-class splits.
+
+    Features and parameters are often small integers and halves, so that
+    many linear predictors sit exactly on the cut-off; some members are
+    all zero, the stand-in of a failed fit. The labels lean to one class,
+    so that some test splits lack the other.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    repetitions, models = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    grid = draw(st.booleans())
+    features = rng.integers(-3, 4, size=(n, d)) if grid else rng.normal(size=(n, d))
+    labels = (rng.random(n) < draw(st.sampled_from([0.05, 0.5, 0.95]))).astype(int)
+    target = LabeledSample(features, labels, tuple(f"x{j}" for j in range(d)), "target")
+    size = draw(st.integers(1, n))
+    test_rows = np.sort(
+        np.stack([rng.permutation(n)[:size] for _ in range(repetitions)]), axis=1
+    )
+    params = rng.integers(-4, 5, size=(models, repetitions, d + 1)) / 2.0
+    if not grid:
+        params = params + rng.normal(size=params.shape)
+    params[rng.random((models, repetitions)) < 0.2] = 0.0
+    threshold = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.01, 0.99))
+    return target, test_rows, params[..., 0], params[..., 1:], threshold
+
+
+class TestBlockScoring:
+    @settings(max_examples=60)
+    @given(scored_blocks(), st.integers(1, 400))
+    def test_counts_and_rates_equal_confusion_per_member(self, block, budget):
+        """Every member's counts are those of confusion on its own test
+        split, and its rates those of error_report, NaN exactly where a
+        rate is undefined. A small cell budget splits the block into
+        chunks."""
+        target, test_rows, intercepts, coefficients, threshold = block
+        with mock.patch.object(links_module, "_BLOCK_CELLS", budget):
+            counts = _block_counts(target, test_rows, intercepts, coefficients, threshold)
+        rates = _rates(*counts)
+        for i, rows in enumerate(test_rows):
+            test = target.subset(rows)
+            for k in range(intercepts.shape[0]):
+                params = LogisticParams(intercepts[k, i], coefficients[k, i])
+                expected = confusion(score(params, test.features), test.labels, threshold)
+                assert tuple(counts[:, k, i]) == dataclasses.astuple(expected)
+                report = error_report(expected, threshold)
+                for metric, rate in zip(("test_error", "type_i", "type_ii"), rates):
+                    value = float("nan") if metric in report.undefined else getattr(report, metric)
+                    assert repr(float(rate[k, i])) == repr(value)
+
+
+@st.composite
+def small_sweeps(draw):
+    """A synthetic source and a small, unbalanced target at ridge 0: some
+    learning splits hold one class, so M2-M6 fail on them, and some test
+    splits lack a class."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = ("a", "b")
+    features = rng.normal(size=(120, 2))
+    labels = (rng.random(120) < 1 / (1 + np.exp(-features @ [1.0, -1.0]))).astype(int)
+    source = LabeledSample(features, labels, names, "source")
+    n_target = draw(st.integers(10, 24))
+    target_labels = (rng.random(n_target) < draw(st.sampled_from([0.15, 0.5, 0.85]))).astype(int)
+    target_labels[:2] = (0, 1)
+    target = LabeledSample(rng.normal(size=(n_target, 2)), target_labels, names, "target")
+    config = ExperimentConfig(
+        learning_sizes=(draw(st.integers(3, 8)),),
+        repetitions=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 1000)),
+        threshold=draw(st.floats(0.05, 0.95)),
+        fit=FitConfig(ridge=0.0),
+    )
+    return source, target, config
+
+
+class TestBlockRecords:
+    @settings(max_examples=25)
+    @given(small_sweeps())
+    def test_records_equal_per_repetition_oracle(self, sweep):
+        """Each record of a block is the per-repetition path: the fit of
+        its learning split alone, then confusion and error_report on its
+        test split. A fit that fails leaves a failed record."""
+        source, target, config = sweep
+        n = config.learning_sizes[0]
+        params = fit_mle(source, config.fit).params
+        records = _run_unit(source, params, target, config, n, range(config.repetitions))
+        plan = SplitPlan(n, config.repetitions, config.seed)
+        for record in records:
+            learning, test = draw_split(target, plan, record.repetition)
+            kind = LinkModelKind(record.model)
+            try:
+                if kind is LinkModelKind.M7:
+                    fit = fit_m7(source, learning, config.fit)
+                else:
+                    fit = estimate_transition(kind, params, learning, config.fit)
+            except NumericalError:
+                assert record.failed and not record.converged
+                assert dataclasses.astuple(record)[5:9] == (0, 0, 0, 0)
+                assert all(np.isnan(getattr(record, m)) for m in ("test_error", "type_i", "type_ii"))
+                continue
+            counts = confusion(score(fit.target_params, test.features), test.labels, config.threshold)
+            report = error_report(counts, config.threshold)
+            rates = {m: getattr(report, m) for m in ("test_error", "type_i", "type_ii")}
+            rates.update(dict.fromkeys(report.undefined, float("nan")))
+            expected = experiment_module.RepetitionRecord(
+                n, record.repetition, record.model, fit.converged, fit.log_likelihood,
+                *dataclasses.astuple(counts), **rates,
+            )
+            assert repr(record) == repr(expected)

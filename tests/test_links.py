@@ -21,7 +21,6 @@ from scorelink import (
     fit_mle,
     log_likelihood,
     score,
-    score_target,
 )
 from scorelink.dataset import SplitPlan, draw_split
 from scorelink.links import estimate_transitions, fit_m7s
@@ -93,7 +92,9 @@ class TestM1:
     def test_scores_match_source_model(self, source_fit, target):
         fit = estimate_transition(LinkModelKind.M1, source_fit.params, target)
         x = target.features[:5]
-        np.testing.assert_array_equal(score_target(fit, x), score(source_fit.params, x))
+        np.testing.assert_array_equal(
+            score(fit.target_params, x), score(source_fit.params, x)
+        )
 
 
 class TestTransitionEstimation:
@@ -462,7 +463,49 @@ class TestM7Blocks:
             fit_m7s(source, [small, large])
 
 
+@st.composite
+def unpacked_blocks(draw):
+    """A link kind, a source fit with some coefficients exactly zero, the
+    source sample it came from, and a block of equal-size learning samples
+    at a ridge that may leave single-class members without a fit."""
+    kind = draw(st.sampled_from(list(LinkModelKind)))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    truth = LogisticParams(rng.normal(scale=0.5), np.where(zero, 0.0, rng.normal(size=d)))
+    source_sample = synthetic_sample(truth, draw(st.integers(30, 80)), rng, tag="source")
+    n = draw(st.integers(4, 30))
+    learnings = [synthetic_sample(truth, n, rng) for _ in range(draw(st.integers(1, 6)))]
+    config = FitConfig(ridge=draw(st.sampled_from([0.0, 1e-8, 0.5])))
+    return kind, truth, source_sample, learnings, config
+
+
+class TestBlockUnpacking:
+    @settings(max_examples=60)
+    @given(unpacked_blocks())
+    def test_fits_are_bitwise_their_single_formulas(self, block):
+        """A block-unpacked fit's log-likelihood is bitwise
+        log_likelihood(target_params, learning), and an M1-M6 fit's target
+        parameters are bitwise compose(source, transition)."""
+        kind, source, source_sample, learnings, config = block
+        if kind is LinkModelKind.M7:
+            fits = fit_m7s(source_sample, learnings, config)
+        else:
+            fits = estimate_transitions(kind, source, learnings, config)
+        for fit, learning in zip(fits, learnings):
+            if isinstance(fit, NumericalError):
+                continue
+            expected = log_likelihood(fit.target_params, learning)
+            assert fit.log_likelihood.hex() == expected.hex()
+            if kind is not LinkModelKind.M7:
+                assert params_bits(compose(source, fit.transition)) == params_bits(
+                    fit.target_params
+                )
+
+
 class TestScoreTarget:
+    """A fit scores with its target parameters, the source fit linked."""
+
     def test_m3_shift_formula(self, source_fit, target):
         learning, _ = draw_split(target, SplitPlan(100, 1, seed=1), 0)
         fit = estimate_transition(LinkModelKind.M3, source_fit.params, learning)
@@ -471,21 +514,14 @@ class TestScoreTarget:
         eta = source_fit.params.intercept + c + float(
             source_fit.params.coefficients @ x
         )
-        np.testing.assert_allclose(score_target(fit, x), 1 / (1 + np.exp(-eta)), rtol=1e-12)
+        np.testing.assert_allclose(
+            score(fit.target_params, x), 1 / (1 + np.exp(-eta)), rtol=1e-12
+        )
 
     def test_probability_increases_with_shift(self, source_fit, target):
         x = target.features[0]
         probs = [
-            score_target(
-                TransferFit(
-                    kind=LinkModelKind.M3,
-                    transition=TransitionParams(c, np.ones(19)),
-                    target_params=compose(source_fit.params, TransitionParams(c, np.ones(19))),
-                    log_likelihood=0.0,
-                    converged=True,
-                ),
-                x,
-            )
+            score(compose(source_fit.params, TransitionParams(c, np.ones(19))), x)
             for c in (-1.0, 0.0, 1.0, 2.0)
         ]
         assert np.all(np.diff(probs) > 0)

@@ -10,7 +10,6 @@ from scorelink import (
     LabeledSample,
     LogisticParams,
     NumericalError,
-    classify,
     fit_mle,
     gradient,
     hessian,
@@ -258,22 +257,6 @@ class TestFitMle:
     def test_german_source_fit(self, source_fit):
         assert source_fit.converged
         assert source_fit.iterations <= 100
-
-
-class TestClassify:
-    def test_boundary_goes_to_one(self):
-        params = LogisticParams(0.0, np.zeros(1))  # score exactly 0.5
-        assert classify(params, [0.0], threshold=0.5) == 1
-
-    def test_below_threshold(self):
-        params = LogisticParams(math.log(0.49 / 0.51), np.zeros(1))
-        assert classify(params, [0.0], threshold=0.5) == 0
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, 1.5])
-    def test_threshold_contract(self, threshold):
-        params = LogisticParams(0.0, np.zeros(1))
-        with pytest.raises(ValueError, match="threshold"):
-            classify(params, [0.0], threshold=threshold)
 
 
 class TestSerialization:

@@ -83,12 +83,9 @@ class LabeledSample:
         ones = int(self.labels.sum())
         return self.n_records - ones, ones
 
-    def subset(self, indices: np.ndarray, tag: str | None = None) -> "LabeledSample":
+    def subset(self, indices: np.ndarray) -> "LabeledSample":
         return LabeledSample(
-            self.features[indices],
-            self.labels[indices],
-            self.feature_names,
-            self.tag if tag is None else tag,
+            self.features[indices], self.labels[indices], self.feature_names, self.tag
         )
 
 

@@ -92,11 +92,6 @@ class RocCurve:
     true_positive_rate: np.ndarray
     auc: float
 
-    @property
-    def points(self) -> np.ndarray:
-        """(x, y) pairs in sweep order."""
-        return np.column_stack([self.miss_rate, self.specificity])
-
 
 def _tally(scores: np.ndarray, labels: np.ndarray, threshold: float) -> tuple[np.ndarray, ...]:
     """(TP, FP, TN, FN) along the last axis of a stack of score vectors.

@@ -75,8 +75,14 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly in (0, 1)")
+        if not self.models:
+            raise ValueError("models must be non-empty")
         object.__setattr__(self, "learning_sizes", tuple(int(n) for n in self.learning_sizes))
         object.__setattr__(self, "models", tuple(self.models))
+        for name, values in (("learning size", self.learning_sizes), ("model", self.models)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"duplicate {name} {getattr(repeated[0], 'value', repeated[0])}")
 
     @property
     def roc_learning_size(self) -> int:
@@ -178,13 +184,10 @@ def _run_unit(
     test_rows = np.array([test for _, test in rows])
     features = np.take(target.features, learning_rows, axis=0)
     labels = np.take(target.labels, learning_rows, axis=0)
-    learnings = [
-        LabeledSample(x, y, target.feature_names, target.tag) for x, y in zip(features, labels)
-    ]
     blocks = [
-        _m7_block(source_sample, learnings, config.fit)
+        _m7_block(source_sample, features, labels, config.fit)
         if kind is LinkModelKind.M7
-        else _transition_block(kind, source_params, learnings, config.fit)
+        else _transition_block(kind, source_params, features, labels, config.fit)
         for kind in config.models
     ]
 
@@ -343,7 +346,7 @@ def emit_roc_suite(
     n = config.roc_learning_size if learning_size is None else learning_size
     if source_params is None:
         source_params = fit_mle(source, config.fit).params
-    plan = SplitPlan(n, max(config.repetitions, 1), config.seed)
+    plan = SplitPlan(n, config.repetitions, config.seed)
     learning, test = draw_split(target, plan, 0)
 
     curves = {}

@@ -29,15 +29,15 @@ warm-start at the identity link and share the Newton contract of
 :func:`scorelink.logistic.fit_mle`, with the ridge applied to deviations
 from the identity: c^2, (lambda - 1)^2, sum_j (L_j - 1)^2.
 
-Every kind has a block form (:func:`estimate_transitions`,
-:func:`fit_m7s`) that fits many equal-size learning samples through the
-batched Newton engine, each fit bitwise the one of its sample alone.
+Every kind also fits a block of equal-size learning samples, given as
+the (B, n, d) features and (B, n) labels the sweep holds, through the
+batched Newton engine, each fit bitwise the one of its sample alone;
+:func:`estimate_transition` and :func:`fit_m7` are the block of one.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -49,9 +49,9 @@ from .exceptions import NumericalError
 from .logistic import (
     FitConfig,
     LogisticParams,
+    _SINGLE_CLASS,
     _log_likelihood,
     _matvec,
-    _require_two_classes,
     maximize_logistic,
     maximize_logistic_batch,
 )
@@ -62,8 +62,9 @@ IDENTIFIABILITY_EPS = 1e-10
 # Cells (rows x columns) that one stacked design handed to the batched
 # Newton engine may hold: the M6 design of a block of repetitions, or the
 # pooled M7 design of a chunk of one. That design, the engine's weighted
-# copy of it and the block's learning features are the transient arrays of
-# a call, each at most this many doubles: 3 x 8 bytes x 2**16 cells = 1.5 MB.
+# copy of it, the block's learning features and the link design's scaled
+# copy of them are the transient arrays of a call, each at most this many
+# doubles: 4 x 8 bytes x 2**16 cells = 2 MB.
 # The experiment's scoring pass gathers test features and scores in chunks
 # within the same budget.
 _BLOCK_CELLS = 2**16
@@ -204,27 +205,11 @@ def estimate_transition(
     Non-convergence is reported through the flag, never raised; a fit
     with no finite answer raises NumericalError.
     """
-    (fit,) = estimate_transitions(kind, source, [learning], config)
+    block = _transition_block(kind, source, learning.features[None], learning.labels[None], config)
+    (fit,) = block.fits()
     if isinstance(fit, NumericalError):
         raise fit
     return fit
-
-
-def estimate_transitions(
-    kind: LinkModelKind,
-    source: LogisticParams,
-    learnings: Sequence[LabeledSample],
-    config: FitConfig = FitConfig(),
-) -> list[TransferFit | NumericalError]:
-    """Estimate one link model on each of a block of equal-size learning samples.
-
-    The block's Newton fits run as one batched call, and each member's
-    fit is bitwise that of :func:`estimate_transition` on it alone. A
-    member with no finite answer (a single class at ridge 0, or fitted
-    parameters that are not finite) gets its NumericalError in place of
-    a fit; the other members are unaffected.
-    """
-    return _transition_block(kind, source, learnings, config).fits()
 
 
 class _Block(NamedTuple):
@@ -264,26 +249,32 @@ class _Block(NamedTuple):
         ]
 
 
-def _finish_block(kind, learnings, errors, intercepts, coefficients, converged, **link) -> _Block:
+def _class_errors(ones: np.ndarray, rows: int, ridge: float) -> list:
+    """The NumericalError of each member whose sample of ``rows`` rows,
+    ``ones`` of them labelled 1, has a single class at ridge 0 (no finite
+    MLE), else None."""
+    single = ((ones == 0) | (ones == rows)) & (ridge == 0.0)
+    return [NumericalError(_SINGLE_CLASS) if flag else None for flag in single.tolist()]
+
+
+def _finish_block(
+    kind, features, labels, errors, intercepts, coefficients, converged, **link
+) -> _Block:
     """The _Block of a block's target parameters, checked and evaluated.
 
     A member whose parameters are not all finite gets its NumericalError.
-    The log-likelihoods come from one kernel call over the stacked
-    learning samples, a BLAS product per member on the layout of the
-    sample alone, so each is bitwise ``log_likelihood(params, learning)``.
+    The log-likelihoods come from one kernel call over the block's
+    learning ``features`` (B, n, d) and ``labels`` (B, n), a BLAS product
+    per member on the layout of its sample alone, so each is bitwise
+    ``log_likelihood(params, learning)``.
     """
-    if not errors:  # an empty block
-        return _Block(kind, errors, intercepts, coefficients, [], [], **link)
     finite = np.isfinite(intercepts) & np.isfinite(coefficients).all(axis=1)
     for i in np.flatnonzero(~finite):
         errors[i] = errors[i] or NumericalError(f"{kind.value} fit has non-finite parameters")
-    fitted = np.array([error is None for error in errors])
+    fitted = np.array([error is None for error in errors], dtype=bool)
     intercepts = np.where(fitted, intercepts, 0.0)
     coefficients = np.where(fitted[:, None], coefficients, 0.0)
-    eta = intercepts[:, None] + _matvec(
-        np.stack([learning.features for learning in learnings]), coefficients
-    )
-    likelihoods = _log_likelihood(np.stack([learning.labels for learning in learnings]), eta)
+    likelihoods = _log_likelihood(labels, intercepts[:, None] + _matvec(features, coefficients))
     return _Block(
         kind,
         errors,
@@ -295,38 +286,40 @@ def _finish_block(kind, learnings, errors, intercepts, coefficients, converged, 
     )
 
 
-def _transition_block(kind, source, learnings, config) -> _Block:
-    """The fits of :func:`estimate_transitions`, as a _Block."""
+def _transition_block(kind, source, features, labels, config) -> _Block:
+    """One link model (M1..M6) fitted on each of a block of equal-size
+    learning samples: ``features`` (B, n, d), each member C-contiguous as
+    in a LabeledSample, and ``labels`` (B, n).
+
+    The block's Newton fits run as one batched call, and each member's
+    fit is bitwise that of :func:`estimate_transition` on it alone. A
+    member with no finite answer (a single class at ridge 0, or fitted
+    parameters that are not finite) gets its NumericalError in place of
+    a fit; the other members are unaffected.
+    """
     if kind is LinkModelKind.M7:
         raise ValueError("M7 is a pooled refit; use fit_m7")
     d = source.dimension
-    for learning in learnings:
-        if learning.dimension != d:
-            raise ValueError(
-                f"learning sample dimension {learning.dimension} does not match "
-                f"{d} source coefficients"
-            )
-    if len({learning.n_records for learning in learnings}) > 1:
-        raise ValueError("the learning samples of a block must be of one size")
+    if features.shape[-1] != d:
+        raise ValueError(
+            f"learning sample dimension {features.shape[-1]} does not match "
+            f"{d} source coefficients"
+        )
     shift_free, scale_kind = _GRID[kind]
     free = np.zeros(d, dtype=bool)
     if scale_kind == "per-coefficient":
         free = np.abs(source.coefficients) > IDENTIFIABILITY_EPS
 
-    errors: list = [None] * len(learnings)
-    shift, scale = np.zeros(len(learnings)), np.ones((len(learnings), d))
-    converged = np.ones(len(learnings), dtype=bool)
+    count, n = labels.shape
+    shift, scale = np.zeros(count), np.ones((count, d))
+    converged = np.ones(count, dtype=bool)
     has_design = shift_free or scale_kind != "fixed"  # every kind but M1
+    errors = [None] * count
     if has_design:
-        for i, learning in enumerate(learnings):
-            try:
-                _require_two_classes(learning.class_counts(), config.ridge)
-            except NumericalError as err:
-                errors[i] = err
+        errors = _class_errors(labels.sum(axis=1), n, config.ridge)
     fitted = [i for i, error in enumerate(errors) if error is None]
     if has_design and fitted:
-        design, offset = _link_design(shift_free, scale_kind, free, source, learnings, fitted)
-        labels = np.stack([learnings[i].labels for i in fitted]).astype(float)
+        design, offset = _link_design(shift_free, scale_kind, free, source, features, fitted)
         width = design.shape[-1]
         center = np.ones(width)
         center[: int(shift_free)] = 0.0
@@ -337,12 +330,13 @@ def _transition_block(kind, source, learnings, config) -> _Block:
             max_iterations=config.max_iterations,
             gradient_tolerance=config.gradient_tolerance,
         )
+        targets = labels[fitted].astype(float)
         # a lone fit is one call of the 2-D entry point, which is where
         # the benchmark's tracer and the optimizer audit observe it
         if len(fitted) == 1:
-            results = [maximize_logistic(design[0], labels[0], offset[0], **newton)]
+            results = [maximize_logistic(design[0], targets[0], offset[0], **newton)]
         else:
-            results = maximize_logistic_batch(design, labels, offset, **newton)
+            results = maximize_logistic_batch(design, targets, offset, **newton)
         x = np.array([result.x for result in results])
         converged[fitted] = [result.converged for result in results]
         if shift_free:
@@ -358,7 +352,8 @@ def _transition_block(kind, source, learnings, config) -> _Block:
         pinned = tuple(int(j) for j in np.flatnonzero(~free))
     return _finish_block(
         kind,
-        learnings,
+        features,
+        labels,
         errors,
         source.intercept + shift,
         scale * source.coefficients,
@@ -369,13 +364,16 @@ def _transition_block(kind, source, learnings, config) -> _Block:
     )
 
 
-def _link_design(shift_free, scale_kind, free, source, learnings, members):
-    """Stacked design and offset of the link problem of each member.
+def _link_design(shift_free, scale_kind, free, source, features, members):
+    """Design and offset of the link problem of each of the ``members`` of
+    a block of learning ``features`` (B, n, d), built in array operations
+    over the block.
 
     Each identifiable column b_j * x_j with its own scale enters the
     design; a common lambda multiplies their row sum, the source score
-    minus b0. Columns whose scale stays 1 join b0 in the offset. The
-    columns are built one member at a time, so no second stack is held.
+    minus b0. Columns whose scale stays 1 join b0 in the offset. Besides
+    the design and offset, a call holds one array of the members' scaled
+    columns, the size of their features.
 
     A per-coefficient member's design is stored column-major, the layout
     the column selection ``scaled[:, free]`` gives a single fit. BLAS sums
@@ -384,22 +382,22 @@ def _link_design(shift_free, scale_kind, free, source, learnings, members):
     """
     shift = int(shift_free)
     width = shift + {"fixed": 0, "common": 1, "per-coefficient": int(free.sum())}[scale_kind]
-    n = learnings[members[0]].n_records
+    scaled = features[members]  # a copy, scaled in place
+    scaled *= source.coefficients
+    count, n, _ = scaled.shape
     if scale_kind == "per-coefficient":
-        design = np.empty((len(members), width, n)).transpose(0, 2, 1)
+        design = np.empty((count, width, n)).transpose(0, 2, 1)
     else:
-        design = np.empty((len(members), n, width))
+        design = np.empty((count, n, width))
     design[..., :shift] = 1.0
-    offset = np.full((len(members), n), source.intercept)
-    for row, i in enumerate(members):
-        scaled = learnings[i].features * source.coefficients
-        if scale_kind == "fixed":
-            offset[row] += scaled.sum(axis=1)
-        elif scale_kind == "common":
-            design[row, :, shift] = scaled.sum(axis=1)
-        else:
-            design[row, :, shift:] = scaled[:, free]
-            offset[row] += scaled[:, ~free].sum(axis=1)
+    offset = np.full((count, n), source.intercept)
+    if scale_kind == "fixed":
+        offset += scaled.sum(axis=-1)
+    elif scale_kind == "common":
+        design[..., shift] = scaled.sum(axis=-1)
+    else:
+        design[..., shift:] = scaled[..., free]
+        offset += scaled[..., ~free].sum(axis=-1)
     return design, offset
 
 
@@ -410,21 +408,19 @@ def fit_m7(
 ) -> TransferFit:
     """Refit from scratch on all source rows pooled with the learning rows.
 
-    The block of one of :func:`fit_m7s`; a fit with no finite answer
-    raises NumericalError.
+    The block of one of the sweep's pooled refits; a fit with no finite
+    answer raises NumericalError.
     """
-    (fit,) = fit_m7s(source_sample, [learning], config)
+    block = _m7_block(source_sample, learning.features[None], learning.labels[None], config)
+    (fit,) = block.fits()
     if isinstance(fit, NumericalError):
         raise fit
     return fit
 
 
-def fit_m7s(
-    source_sample: LabeledSample,
-    learnings: Sequence[LabeledSample],
-    config: FitConfig = FitConfig(),
-) -> list[TransferFit | NumericalError]:
-    """Fit M7 on each of a block of equal-size learning samples.
+def _m7_block(source_sample, features, labels, config) -> _Block:
+    """M7 fitted on each of a block of equal-size learning samples,
+    ``features`` (B, n, d) and ``labels`` (B, n).
 
     The members go through the batched Newton engine in near-equal chunks,
     each within ``_BLOCK_CELLS`` cells of its stacked pooled design, and
@@ -433,58 +429,48 @@ def fit_m7s(
     parameters that are not finite) gets its NumericalError in place of a
     fit.
     """
-    return _m7_block(source_sample, learnings, config).fits()
-
-
-def _m7_block(source_sample, learnings, config) -> _Block:
-    """The fits of :func:`fit_m7s`, as a _Block."""
     d = source_sample.dimension
     if d < 1:
         raise ValueError("sample must have at least one feature")
-    for learning in learnings:
-        if learning.dimension != d:
-            raise ValueError(
-                f"source dimension {d} does not match "
-                f"learning dimension {learning.dimension}"
-            )
-    if len({learning.n_records for learning in learnings}) > 1:
-        raise ValueError("the learning samples of a block must be of one size")
+    if features.shape[-1] != d:
+        raise ValueError(
+            f"source dimension {d} does not match "
+            f"learning dimension {features.shape[-1]}"
+        )
 
-    errors: list = [None] * len(learnings)
-    source_zeros, source_ones = source_sample.class_counts()
-    for i, learning in enumerate(learnings):
-        zeros, ones = learning.class_counts()
-        try:
-            _require_two_classes((source_zeros + zeros, source_ones + ones), config.ridge)
-        except NumericalError as err:
-            errors[i] = err
+    count, n = labels.shape
+    errors = _class_errors(
+        source_sample.labels.sum() + labels.sum(axis=1), source_sample.n_records + n, config.ridge
+    )
     fitted = [i for i, error in enumerate(errors) if error is None]
-    x = np.zeros((len(learnings), d + 1))
-    converged = np.zeros(len(learnings), dtype=bool)
+    x = np.zeros((count, d + 1))
+    converged = np.zeros(count, dtype=bool)
     if fitted:
-        x[fitted], converged[fitted] = _pooled_fits(source_sample, learnings, fitted, config)
-    return _finish_block(LinkModelKind.M7, learnings, errors, x[:, 0], x[:, 1:], converged)
+        x[fitted], converged[fitted] = _pooled_fits(
+            source_sample, features, labels, fitted, config
+        )
+    return _finish_block(LinkModelKind.M7, features, labels, errors, x[:, 0], x[:, 1:], converged)
 
 
-def _pooled_fits(source_sample, learnings, fitted, config):
+def _pooled_fits(source_sample, features, labels, fitted, config):
     """The solutions and convergence flags of the pooled refits of the
     members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``.
 
     The pooled design ``[1, X]``, labels and offsets are allocated once per
     block, with the intercept column and the source rows written in once;
-    a chunk overwrites only the learning rows. The engine's compaction
-    moves whole member rows, and every member has the same source rows,
-    so they stay intact.
+    a chunk overwrites only the learning rows, in one slice assignment
+    each. The engine's compaction moves whole member rows, and every
+    member has the same source rows, so they stay intact.
     """
-    (m, d), n = source_sample.features.shape, learnings[fitted[0]].n_records
+    (m, d), n = source_sample.features.shape, labels.shape[1]
     chunks = _chunks(len(fitted), (m + n) * (d + 1))
     # each member a C-contiguous (m + n, d + 1) slab, the layout of the
     # single fit's design, so that BLAS sums every member in the same order
     design = np.empty((max(map(len, chunks)), m + n, d + 1))
     design[:, :, 0] = 1.0
     design[:, :m, 1:] = source_sample.features
-    labels = np.empty(design.shape[:2])
-    labels[:, :m] = source_sample.labels
+    pooled_labels = np.empty(design.shape[:2])
+    pooled_labels[:, :m] = source_sample.labels
     offset = np.zeros(design.shape[:2])
     newton = dict(
         penalty=np.concatenate(([0.0], np.full(d, config.ridge))),  # intercept free
@@ -493,14 +479,14 @@ def _pooled_fits(source_sample, learnings, fitted, config):
     )
     results = []
     for chunk in chunks:
-        members = [fitted[k] for k in chunk]
-        for row, i in enumerate(members):
-            design[row, m:, 1:] = learnings[i].features
-            labels[row, m:] = learnings[i].labels
-        # a lone fit is one call of the 2-D entry point, as in estimate_transitions
-        if len(members) == 1:
-            results.append(maximize_logistic(design[0], labels[0], **newton))
+        members, k = fitted[chunk.start : chunk.stop], len(chunk)
+        design[:k, m:, 1:] = features[members]
+        pooled_labels[:k, m:] = labels[members]
+        # a lone fit is one call of the 2-D entry point, as in _transition_block
+        if k == 1:
+            results.append(maximize_logistic(design[0], pooled_labels[0], **newton))
         else:
-            k = len(members)
-            results += maximize_logistic_batch(design[:k], labels[:k], offset[:k], **newton)
+            results += maximize_logistic_batch(
+                design[:k], pooled_labels[:k], offset[:k], **newton
+            )
     return [result.x for result in results], [result.converged for result in results]

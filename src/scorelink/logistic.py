@@ -421,12 +421,15 @@ def hessian(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -
     return -(_information(design, prob) + np.diag(penalty))
 
 
+_SINGLE_CLASS = "degenerate labels: sample contains a single class and ridge = 0"
+
+
 def _require_two_classes(class_counts: tuple[int, int], ridge: float) -> None:
     """Raise NumericalError when an unpenalized fit on a sample with these
     (label 0, label 1) counts has no finite MLE."""
     zeros, ones = class_counts
     if (zeros == 0 or ones == 0) and ridge == 0.0:
-        raise NumericalError("degenerate labels: sample contains a single class and ridge = 0")
+        raise NumericalError(_SINGLE_CLASS)
 
 
 def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport:

@@ -301,6 +301,28 @@ class TestExitCodes:
         assert err["code"] == 3
         assert "row 3, column 'x2'" in err["error"]
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--models", "M1,M1,M3", "duplicate model M1"),
+            ("--sizes", "50,50", "duplicate learning size 50"),
+            ("--models", ",", "models must be non-empty"),
+        ],
+        ids=["duplicate-model", "duplicate-size", "no-model"],
+    )
+    def test_sweep_list_is_usage_error(self, german_csv, tmp_path, capsys, option, value, message):
+        out = tmp_path / "out"
+        options = {"--sizes": "50", "--repetitions": "3", option: value}
+        argv = ["experiment", "--data", str(german_csv), "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, *(item for pair in options.items() for item in pair)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert json.loads(line) == {"error": message, "code": 2}
+        assert not out.exists()
+
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))
         lines = proc.stderr.strip().splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from scorelink import (
     score,
 )
 from scorelink.dataset import SplitPlan, draw_split
-from scorelink.links import estimate_transitions, fit_m7s
 
 ALL_TRANSITION_KINDS = [
     LinkModelKind.M2,
@@ -41,6 +41,16 @@ def synthetic_sample(params, n, rng, tag="target"):
     labels = (rng.random(n) < probs).astype(int)
     names = tuple(f"x{j}" for j in range(params.dimension))
     return LabeledSample(feats, labels, names, tag)
+
+
+def block_fits(kind, source, source_sample, learnings, config=FitConfig()):
+    """The fits of ``kind`` on the block of features and labels stacked
+    from ``learnings``, a TransferFit or NumericalError per member."""
+    features = np.stack([learning.features for learning in learnings])
+    labels = np.stack([learning.labels for learning in learnings])
+    if kind is LinkModelKind.M7:
+        return links_module._m7_block(source_sample, features, labels, config).fits()
+    return links_module._transition_block(kind, source, features, labels, config).fits()
 
 
 class TestCompose:
@@ -186,7 +196,7 @@ class TestTransitionEstimation:
     def test_block_equals_single_fits(self, kind, source_fit, target):
         """A block's fits are bitwise those of each member fitted alone."""
         learnings = [draw_split(target, SplitPlan(150, 6, seed=4), r)[0] for r in range(6)]
-        block = estimate_transitions(kind, source_fit.params, learnings)
+        block = block_fits(kind, source_fit.params, None, learnings)
         for learning, fit in zip(learnings, block):
             alone = estimate_transition(kind, source_fit.params, learning)
             assert fit.transition.shift == alone.transition.shift
@@ -194,15 +204,15 @@ class TestTransitionEstimation:
             assert fit.target_params.coefficients.tobytes() == alone.target_params.coefficients.tobytes()
             assert (fit.log_likelihood, fit.converged) == (alone.log_likelihood, alone.converged)
 
-    def test_block_members_of_one_size(self, source_fit, target):
-        small = draw_split(target, SplitPlan(50, 1), 0)[0]
-        large = draw_split(target, SplitPlan(100, 1), 0)[0]
-        with pytest.raises(ValueError, match="one size"):
-            estimate_transitions(LinkModelKind.M3, source_fit.params, [small, large])
-
     def test_m7_rejected(self, source_fit, target):
         with pytest.raises(ValueError, match="fit_m7"):
             estimate_transition(LinkModelKind.M7, source_fit.params, target)
+
+    def test_dimension_mismatch(self, rng):
+        source = LogisticParams(0.0, np.array([1.0, -1.0]))
+        other = LabeledSample(rng.normal(size=(10, 3)), rng.integers(0, 2, 10), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="dimension 3 does not match 2"):
+            estimate_transition(LinkModelKind.M4, source, other)
 
     def test_unidentifiable_scale_pinned(self, rng):
         """A numerically zero source coefficient keeps scale 1 and is flagged."""
@@ -412,7 +422,7 @@ class TestM7Blocks:
         alone, and bitwise fit_mle on the stacked pooled rows."""
         source, learnings, config, budget = block
         with mock.patch.object(links_module, "_BLOCK_CELLS", budget):
-            fits = fit_m7s(source, learnings, config)
+            fits = block_fits(LinkModelKind.M7, None, source, learnings, config)
         for fit, learning in zip(fits, learnings):
             alone = fit_m7(source, learning, config)
             report = pooled_fit_mle(source, learning, config)
@@ -436,7 +446,7 @@ class TestM7Blocks:
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         config = FitConfig(ridge=0.0)
-        fits = fit_m7s(source, learnings, config)
+        fits = block_fits(LinkModelKind.M7, None, source, learnings, config)
         assert calls and all(shape == (3, 3) for shape in calls)
         assert fits[1].target_params.coefficients[0] == 0.0
         assert all(fit.converged for fit in fits)
@@ -448,19 +458,13 @@ class TestM7Blocks:
             LabeledSample(rng.normal(size=(6, 1)), labels, names, "target")
             for labels in ([0, 1, 0, 1, 0, 0], [0] * 6, [1, 1, 0, 0, 1, 0])
         ]
-        fits = fit_m7s(source, learnings, FitConfig(ridge=0.0))
+        fits = block_fits(LinkModelKind.M7, None, source, learnings, FitConfig(ridge=0.0))
         assert isinstance(fits[1], NumericalError)
         for i in (0, 2):
             alone = fit_m7(source, learnings[i], FitConfig(ridge=0.0))
             assert params_bits(fits[i].target_params) == params_bits(alone.target_params)
         with pytest.raises(NumericalError, match="single class"):
             fit_m7(source, learnings[1], FitConfig(ridge=0.0))
-
-    def test_members_of_one_size(self, source, target):
-        small = draw_split(target, SplitPlan(50, 1), 0)[0]
-        large = draw_split(target, SplitPlan(100, 1), 0)[0]
-        with pytest.raises(ValueError, match="one size"):
-            fit_m7s(source, [small, large])
 
 
 @st.composite
@@ -488,10 +492,7 @@ class TestBlockUnpacking:
         log_likelihood(target_params, learning), and an M1-M6 fit's target
         parameters are bitwise compose(source, transition)."""
         kind, source, source_sample, learnings, config = block
-        if kind is LinkModelKind.M7:
-            fits = fit_m7s(source_sample, learnings, config)
-        else:
-            fits = estimate_transitions(kind, source, learnings, config)
+        fits = block_fits(kind, source, source_sample, learnings, config)
         for fit, learning in zip(fits, learnings):
             if isinstance(fit, NumericalError):
                 continue
@@ -501,6 +502,107 @@ class TestBlockUnpacking:
                 assert params_bits(compose(source, fit.transition)) == params_bits(
                     fit.target_params
                 )
+
+
+# sha256 of the M1-M7 block fits of golden_blocks(), as fits_digest hashes them
+BLOCK_FITS_SHA256 = "e44a13a7072fa6a3de8d82330d6528784afbd83481cdaa52c79d62907e8c7616"
+# M7 chunks of two members: the pooled design of a member has (40 + 20) x (d + 1) cells
+GOLDEN_M7_CELLS = 2 * (40 + 20)
+
+
+def golden_blocks():
+    """Seeded blocks of five learning samples that reach the block paths the
+    German golden bytes do not: source coefficients that are exactly 0 or
+    within IDENTIFIABILITY_EPS of it (the columns M5 and M6 pin into the
+    offset, up to three of them), feature columns scaled by 1e3 and
+    1e-3, a single-class member at ridge 0 (at seed 3 also for M7, whose
+    source rows are then of one class), and M7 fitted in chunks of two
+    members, the last one alone when all five fit. Each block is (source
+    params, source sample, learning samples, config)."""
+    scale = np.array([1e3, 1.0, 1e-3, 1.0])
+    pinned = ((1,), (0, 2, 3), (2,), (0, 1, 3))
+    for seed, ridge in enumerate((0.0, 1e-8, 0.5, 0.0)):
+        rng = np.random.default_rng(seed)
+        d = 3 + seed % 2
+        names = tuple(f"x{j}" for j in range(d))
+        coefficients = rng.normal(size=d) / scale[:d]
+        coefficients[list(pinned[seed])] = [0.0, 3e-11, -7e-11][: len(pinned[seed])]
+        source = LogisticParams(rng.normal(scale=0.5), coefficients)
+
+        def draw(n, tag, single_class=False):
+            features = rng.normal(size=(n, d)) * scale[:d]
+            labels = (rng.random(n) < score(source, features)).astype(int)
+            return LabeledSample(features, labels * (not single_class), names, tag)
+
+        source_sample = draw(40, "source", single_class=seed == 3)
+        learnings = [draw(20, "target", single_class=i == 1) for i in range(5)]
+        yield source, source_sample, learnings, FitConfig(ridge=ridge)
+
+
+def fits_digest(digest, fits):
+    """Add each fit's JSON and coefficient bytes, or its error's repr, to ``digest``."""
+    for fit in fits:
+        if isinstance(fit, NumericalError):
+            digest.update(repr(fit).encode())
+        else:
+            digest.update(fit.to_json().encode())
+            digest.update(fit.target_params.coefficients.tobytes())
+
+
+class TestBlockDigest:
+    def test_block_fits_are_pinned(self, monkeypatch):
+        """The M1-M7 block fits of golden_blocks() hash to BLOCK_FITS_SHA256.
+
+        The digest was computed before the block functions took arrays and
+        pins every bit of these fits. Only a deliberate re-baseline of the
+        fits, such as warm-starting M7 at the source fit (ROADMAP item 3),
+        updates it, and says so in CHANGES.md.
+        """
+        digest = hashlib.sha256()
+        for source, source_sample, learnings, config in golden_blocks():
+            cells = GOLDEN_M7_CELLS * (source.dimension + 1)
+            monkeypatch.setattr(links_module, "_BLOCK_CELLS", cells)
+            for kind in LinkModelKind:
+                fits_digest(digest, block_fits(kind, source, source_sample, learnings, config))
+        assert digest.hexdigest() == BLOCK_FITS_SHA256
+
+
+def reference_link_problem(shift_free, scale_kind, free, source, learning):
+    """One member's link design and offset, built from its own (n, d)
+    features alone: the reference for the block's array operations."""
+    scaled = learning.features * source.coefficients
+    ones = np.ones((learning.n_records, int(shift_free)))
+    if scale_kind == "fixed":
+        return ones, source.intercept + scaled.sum(axis=1)
+    if scale_kind == "common":
+        return np.column_stack([ones, scaled.sum(axis=1)]), np.full(len(scaled), source.intercept)
+    return np.column_stack([ones, scaled[:, free]]), source.intercept + scaled[:, ~free].sum(axis=1)
+
+
+class TestLinkDesign:
+    @pytest.mark.parametrize("kind", ALL_TRANSITION_KINDS)
+    def test_block_design_is_the_per_member_one(self, kind):
+        """The block's designs and offsets are bitwise those built one member
+        at a time, and a per-coefficient member's design is column-major,
+        the layout of the single fit's column selection."""
+        shift_free, scale_kind = links_module._GRID[kind]
+        for source, _, learnings, _ in golden_blocks():
+            free = np.abs(source.coefficients) > links_module.IDENTIFIABILITY_EPS
+            if scale_kind != "per-coefficient":
+                free[:] = False
+            features = np.stack([learning.features for learning in learnings])
+            members = [0, 2, 3]
+            design, offset = links_module._link_design(
+                shift_free, scale_kind, free, source, features, members
+            )
+            for row, i in enumerate(members):
+                want_design, want_offset = reference_link_problem(
+                    shift_free, scale_kind, free, source, learnings[i]
+                )
+                assert design[row].tobytes() == want_design.tobytes()
+                assert offset[row].tobytes() == want_offset.tobytes()
+                if scale_kind == "per-coefficient":
+                    assert design[row].flags.f_contiguous
 
 
 class TestScoreTarget:

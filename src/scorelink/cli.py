@@ -4,9 +4,15 @@ Subcommands: split, fit, transfer, evaluate, experiment, roc,
 gaussian-check. ``experiment`` with defaults reproduces the full
 repeated-split protocol end to end from the raw CSV.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
-Failures print a single JSON line on stderr. An optional ``--config``
-JSON file supplies defaults that explicit flags override.
+Each option is declared once, in ``_OPTIONS``. An optional ``--config``
+JSON file supplies option values that explicit flags override. A config
+value passes its flag's parser: a string is read as the flag's text, a
+list option also takes a JSON list or a single value, and a number must
+have the option's type (an integer will do for a float; a bool never does).
+
+Exit codes: 0 success, 2 usage error or an output that cannot be
+written, 3 data error or an input that cannot be read, 4 numerical
+failure. Failures print a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -41,34 +47,53 @@ from .logistic import FitConfig, LogisticParams, fit_mle, score
 
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 2, 3, 4
 
-# Config keys each subcommand reads, with their defaults; a --config file
-# may hold only these keys, and each has a flag of the same name.
+
+def _list_of(item):
+    """Parser of a comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> tuple:
+        return tuple(item(v.strip()) for v in text.split(",") if v.strip())
+
+    parse.item = item
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in its errors
+    return parse
+
+
 _FIT = FitConfig()
 _SWEEP = ExperimentConfig()
-_FIT_KEYS = {
-    "target_column": DEFAULT_TARGET_COLUMN,
-    "ridge": _FIT.ridge,
-    "max_iterations": _FIT.max_iterations,
-    "tolerance": _FIT.gradient_tolerance,
+
+# Options: the flag --<name with dashes>, which is also the --config key
+# <name>. name -> (parser of the flag's text, default, help)
+_OPTIONS = {
+    "target_column": (str, DEFAULT_TARGET_COLUMN, None),
+    "split_column": (str, DEFAULT_SPLIT_COLUMN, None),
+    "ridge": (float, _FIT.ridge, None),
+    "max_iterations": (int, _FIT.max_iterations, None),
+    "tolerance": (float, _FIT.gradient_tolerance, None),
+    "threshold": (float, _SWEEP.threshold, None),
+    "seed": (int, _SWEEP.seed, None),
+    "sizes": (_list_of(int), _SWEEP.learning_sizes, "comma-separated learning sizes"),
+    "repetitions": (int, _SWEEP.repetitions, None),
+    "models": (_list_of(LinkModelKind), _SWEEP.models, "comma-separated subset of M1..M7"),
+    "jobs": (int, 1, "worker processes, at least 1"),
+    "n": (int, _SWEEP.roc_learning_size, "learning size of the split"),
+    "dim": (int, 5, None),
+    "instances": (int, 1, None),
 }
-_SPLIT_KEYS = {"target_column": DEFAULT_TARGET_COLUMN, "split_column": DEFAULT_SPLIT_COLUMN}
-_EXPERIMENT_KEYS = {
-    **_SPLIT_KEYS,
-    "seed": _SWEEP.seed,
-    "sizes": _SWEEP.learning_sizes,
-    "repetitions": _SWEEP.repetitions,
-    "models": [kind.value for kind in _SWEEP.models],
-    "threshold": _SWEEP.threshold,
-    "ridge": _SWEEP.fit.ridge,
-    "jobs": 1,
+
+# Flags that are not config keys: name -> add_argument keywords
+_FLAGS = {
+    "data": {"help": "numeric credit CSV"},
+    "out": {"help": "output directory, or the JSON file of fit and transfer (default: stdout)"},
+    "params": {"help": "parameter JSON file"},
+    "model": {"choices": [kind.value for kind in LinkModelKind]},
+    "source_params": {"help": "source parameter JSON (M1..M6)"},
+    "source_data": {"help": "source sample CSV (required for M7)"},
+    "learning": {"help": "target learning sample CSV"},
 }
-_ROC_KEYS = {
-    **_SPLIT_KEYS,
-    "n": _SWEEP.roc_learning_size,
-    "seed": _SWEEP.seed,
-    "threshold": _SWEEP.threshold,
-    "ridge": _SWEEP.fit.ridge,
-}
+
+# The JSON numbers a config value may be for an option of each type.
+_JSON_NUMBERS = {int: (int,), float: (int, float)}
 
 
 class _UsageError(Exception):
@@ -87,111 +112,74 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scorelink", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"scorelink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(p):
+    for command, (_, help_text, required, optional, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*required, *optional):
+            p.add_argument(_flag(name), required=name in required, **_FLAGS[name])
+        for name in options:
+            parse, _, help_text = _OPTIONS[name]
+            p.add_argument(_flag(name), type=parse, help=help_text)
         p.add_argument("--config", help="JSON file with default option values")
-
-    p = sub.add_parser("split", help="separate customers from non-customers")
-    p.add_argument("--data", required=True, help="numeric credit CSV")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--split-column", default=None)
-    add_common(p)
-
-    p = sub.add_parser("fit", help="fit the logistic score function by ML")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", help="write parameter JSON here (default: stdout)")
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("transfer", help="estimate one link model on a learning sample")
-    p.add_argument("--model", required=True, choices=[k.value for k in LinkModelKind])
-    p.add_argument("--source-params", help="source parameter JSON (M1..M6)")
-    p.add_argument("--source-data", help="source sample CSV (required for M7)")
-    p.add_argument("--learning", required=True, help="target learning sample CSV")
-    p.add_argument("--out", help="write transfer JSON here (default: stdout)")
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("evaluate", help="error rates of fitted params on a test CSV")
-    p.add_argument("--params", required=True, help="parameter JSON file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("experiment", help="full repeated-split protocol")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sizes", default=None, help="comma-separated learning sizes")
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--models", default=None, help="comma-separated subset of M1..M7")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--split-column", default=None)
-    add_common(p)
-
-    p = sub.add_parser("roc", help="per-model ROC curves on one designated split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=None, help="learning size (default 200)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--split-column", default=None)
-    add_common(p)
-
-    p = sub.add_parser("gaussian-check", help="closed-form affine-link consistency check")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--instances", type=int, default=None)
-    add_common(p)
-
     return parser
 
 
-def _merged(args, defaults: dict) -> dict:
-    """Layer: hard defaults < --config file < explicit flags."""
-    values = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _merged(args, names) -> dict:
+    """Each option's value. Layer: defaults < --config file < explicit flags."""
+    values = {name: _OPTIONS[name][1] for name in names}
+    if args.config:
         try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError:
-            raise DataError(f"no such config file: {config_path}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file {config_path}: {exc}") from None
-        unknown = set(loaded) - set(defaults)
+            raise DataError(f"no such config file: {args.config}") from None
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+            raise DataError(f"config file {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise DataError(f"config file {args.config}: not a JSON object")
+        unknown = set(loaded) - set(names)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
-    for key in defaults:
-        flag = getattr(args, key, None)
+        values.update((key, _config_value(key, value)) for key, value in loaded.items())
+    for name in names:
+        flag = getattr(args, name)
         if flag is not None:
-            values[key] = flag
+            values[name] = flag
     return values
 
 
-def _fit_config(values: dict) -> FitConfig:
-    return FitConfig(
-        max_iterations=int(values.get("max_iterations", _FIT.max_iterations)),
-        gradient_tolerance=float(values.get("tolerance", _FIT.gradient_tolerance)),
-        ridge=float(values["ridge"]),
-    )
+def _config_value(key: str, value):
+    """A --config value, parsed as its flag's value would be."""
+    parse = _OPTIONS[key][0]
+    item = getattr(parse, "item", None)
+    try:
+        if isinstance(value, str):
+            return parse(value)
+        if item is None:
+            return _json_value(parse, value)
+        return tuple(_json_value(item, v) for v in (value if isinstance(value, list) else [value]))
+    except (ValueError, OverflowError) as exc:
+        raise _UsageError(f"config key {key!r}: {exc}") from None
+
+
+def _json_value(parse, value):
+    # type(), not isinstance(): a bool is never a number
+    if isinstance(value, str) or type(value) in _JSON_NUMBERS.get(parse, ()):
+        return parse(value)
+    raise ValueError(f"expected {parse.__name__}, got {json.dumps(value)}")
+
+
+def _fit_config(args) -> FitConfig:
+    if "tolerance" in vars(args):  # fit and transfer; experiment and roc set only the ridge
+        return FitConfig(max_iterations=args.max_iterations,
+                         gradient_tolerance=args.tolerance, ridge=args.ridge)
+    return FitConfig(ridge=args.ridge)
 
 
 def _load_params(path: str) -> LogisticParams:
@@ -199,7 +187,7 @@ def _load_params(path: str) -> LogisticParams:
         return LogisticParams.load(path)
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad parameter file {path}: {exc}") from None
 
 
@@ -211,23 +199,25 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _subpopulations(args):
+    sample = load_csv(args.data, args.target_column)
+    return split_by_account_status(sample, args.split_column)
+
+
 def _cmd_split(args) -> int:
-    values = _merged(args, _SPLIT_KEYS)
-    sample = load_csv(args.data, values["target_column"])
-    source, target = split_by_account_status(sample, values["split_column"])
+    source, target = _subpopulations(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(source, out / "source.csv", values["target_column"])
-    write_csv(target, out / "target.csv", values["target_column"])
+    write_csv(source, out / "source.csv", args.target_column)
+    write_csv(target, out / "target.csv", args.target_column)
     counts = {"source_records": source.n_records, "target_records": target.n_records}
     print(json.dumps(counts, allow_nan=False))
     return 0
 
 
 def _cmd_fit(args) -> int:
-    values = _merged(args, _FIT_KEYS)
-    sample = load_csv(args.data, values["target_column"])
-    report = fit_mle(sample, _fit_config(values))
+    sample = load_csv(args.data, args.target_column)
+    report = fit_mle(sample, _fit_config(args))
     payload = report.params.to_dict()
     payload.update(
         log_likelihood=report.log_likelihood,
@@ -239,14 +229,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    values = _merged(args, _FIT_KEYS)
     kind = LinkModelKind(args.model)
-    learning = load_csv(args.learning, values["target_column"])
-    config = _fit_config(values)
+    learning = load_csv(args.learning, args.target_column)
+    config = _fit_config(args)
     if kind is LinkModelKind.M7:
         if not args.source_data:
             raise _UsageError("M7 requires --source-data")
-        source_sample = load_csv(args.source_data, values["target_column"])
+        source_sample = load_csv(args.source_data, args.target_column)
         fit = fit_m7(source_sample, learning, config)
     else:
         if not args.source_params:
@@ -257,13 +246,10 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    values = _merged(args, {"target_column": DEFAULT_TARGET_COLUMN,
-                            "threshold": _SWEEP.threshold})
     params = _load_params(args.params)
-    sample = load_csv(args.data, values["target_column"])
-    threshold = float(values["threshold"])
-    counts = confusion(score(params, sample.features), sample.labels, threshold)
-    report = error_report(counts, threshold)
+    sample = load_csv(args.data, args.target_column)
+    counts = confusion(score(params, sample.features), sample.labels, args.threshold)
+    report = error_report(counts, args.threshold)
     payload = report.to_dict()
     payload.update(
         true_positive=counts.true_positive,
@@ -275,25 +261,17 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_list(value, caster) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(caster(v) for v in value)
-    return tuple(caster(v.strip()) for v in str(value).split(",") if v.strip())
-
-
 def _cmd_experiment(args) -> int:
-    values = _merged(args, _EXPERIMENT_KEYS)
-    sample = load_csv(args.data, values["target_column"])
-    source, target = split_by_account_status(sample, values["split_column"])
+    source, target = _subpopulations(args)
     config = ExperimentConfig(
-        learning_sizes=_parse_list(values["sizes"], int),
-        repetitions=int(values["repetitions"]),
-        seed=int(values["seed"]),
-        models=tuple(LinkModelKind(m) for m in _parse_list(values["models"], str)),
-        threshold=float(values["threshold"]),
-        fit=_fit_config(values),
+        learning_sizes=args.sizes,
+        repetitions=args.repetitions,
+        seed=args.seed,
+        models=args.models,
+        threshold=args.threshold,
+        fit=_fit_config(args),
     )
-    result = run_experiment(source, target, config, jobs=int(values["jobs"]))
+    result = run_experiment(source, target, config, jobs=args.jobs)
     write_experiment_outputs(
         result,
         args.out,
@@ -310,65 +288,67 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    values = _merged(args, _ROC_KEYS)
-    sample = load_csv(args.data, values["target_column"])
-    source, target = split_by_account_status(sample, values["split_column"])
-    config = ExperimentConfig(
-        seed=int(values["seed"]),
-        threshold=float(values["threshold"]),
-        fit=_fit_config(values),
-    )
-    curves = emit_roc_suite(
-        source, target, config, learning_size=int(values["n"]), out_dir=args.out
-    )
+    source, target = _subpopulations(args)
+    config = ExperimentConfig(seed=args.seed, threshold=args.threshold, fit=_fit_config(args))
+    curves = emit_roc_suite(source, target, config, learning_size=args.n, out_dir=args.out)
     aucs = {name: round(curve.auc, 4) for name, curve in sorted(curves.items())}
     print(json.dumps(aucs, allow_nan=False))
     return 0
 
 
 def _cmd_gaussian_check(args) -> int:
-    values = _merged(args, {"dim": 5, "seed": 0, "instances": 1})
-    dim = int(values["dim"])
-    instances = int(values["instances"])
-    if dim < 1 or instances < 1:
+    if args.dim < 1 or args.instances < 1:
         raise _UsageError("--dim and --instances must be positive")
-    rng = np.random.default_rng(int(values["seed"]))
+    rng = np.random.default_rng(args.seed)
     reports = []
-    for _ in range(instances):
-        spec, link = random_homoscedastic_pair(dim, rng)
+    for _ in range(args.instances):
+        spec, link = random_homoscedastic_pair(args.dim, rng)
         reports.append(verify_link_consistency(spec, link).to_dict())
-    payload = reports[0] if instances == 1 else {
+    payload = reports[0] if args.instances == 1 else {
         "instances": reports,
         "max_residual": max(r["max_residual"] for r in reports),
     }
-    payload["dim"] = dim
+    payload["dim"] = args.dim
     print(json.dumps(payload, allow_nan=False))
     return 0
 
 
+_FIT_OPTIONS = ("target_column", "ridge", "max_iterations", "tolerance")
+_SPLIT_OPTIONS = ("target_column", "split_column")
+
+# command -> (handler, help, required flags, other flags, options)
 _COMMANDS = {
-    "split": _cmd_split,
-    "fit": _cmd_fit,
-    "transfer": _cmd_transfer,
-    "evaluate": _cmd_evaluate,
-    "experiment": _cmd_experiment,
-    "roc": _cmd_roc,
-    "gaussian-check": _cmd_gaussian_check,
+    "split": (_cmd_split, "separate customers from non-customers",
+              ("data", "out"), (), _SPLIT_OPTIONS),
+    "fit": (_cmd_fit, "fit the logistic score function by ML",
+            ("data",), ("out",), _FIT_OPTIONS),
+    "transfer": (_cmd_transfer, "estimate one link model on a learning sample",
+                 ("model", "learning"), ("source_params", "source_data", "out"), _FIT_OPTIONS),
+    "evaluate": (_cmd_evaluate, "error rates of fitted params on a test CSV",
+                 ("params", "data"), (), ("target_column", "threshold")),
+    "experiment": (_cmd_experiment, "full repeated-split protocol", ("data", "out"), (),
+                   (*_SPLIT_OPTIONS, "seed", "sizes", "repetitions", "models", "threshold",
+                    "ridge", "jobs")),
+    "roc": (_cmd_roc, "per-model ROC curves on one designated split", ("data", "out"), (),
+            (*_SPLIT_OPTIONS, "n", "seed", "threshold", "ridge")),
+    "gaussian-check": (_cmd_gaussian_check, "closed-form affine-link consistency check",
+                       (), (), ("dim", "seed", "instances")),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, _, _, options = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        vars(args).update(_merged(args, options))
+        return handler(args)
     except _UsageError as exc:
         _fail(USAGE_ERROR, str(exc))
     except DataError as exc:
         _fail(DATA_ERROR, str(exc))
     except (NumericalError, np.linalg.LinAlgError) as exc:
         _fail(NUMERICAL_ERROR, str(exc))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output that cannot be written
         _fail(USAGE_ERROR, str(exc))
     return 0  # unreachable; _fail always exits
 

@@ -108,15 +108,18 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     """Load a numeric CSV with a header row into a LabeledSample.
 
     The target column supplies the binary label and is removed from the
-    feature set. Raises DataError for a missing file, a missing target
-    column, an unparseable or non-finite cell (reported with row and
-    column), or an empty table.
+    feature set. Raises DataError for a missing, unreadable or non-UTF-8
+    file, a missing target column, an unparseable or non-finite cell
+    (reported with row and column), or an empty table.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        return _parse_csv(f, target_column, str(path))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            return _parse_csv(f, target_column, str(path))
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def load_german_credit() -> LabeledSample:

@@ -69,8 +69,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.learning_sizes:
             raise ValueError("learning_sizes must be non-empty")
-        if any(n < 1 for n in self.learning_sizes):
-            raise ValueError("learning sizes must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.threshold < 1.0:
@@ -272,20 +270,23 @@ def run_experiment(
     config: ExperimentConfig = ExperimentConfig(),
     jobs: int = 1,
 ) -> ExperimentResult:
-    """Run the full sweep; deterministic for a given seed, whatever ``jobs`` is."""
-    if max(config.learning_sizes) >= target.n_records:
-        raise ValueError(
-            f"largest learning size {max(config.learning_sizes)} must be below "
-            f"the target size {target.n_records}"
-        )
+    """Run the full sweep; deterministic for a given seed, whatever ``jobs`` is.
+
+    The units run in a pool of ``min(jobs, units)`` worker processes, or
+    in this process when that is 1.
+    """
+    _check_learning_sizes(config.learning_sizes, target)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     source_fit = fit_mle(source, config.fit)
     if not source_fit.converged:
         raise NumericalError("source fit did not converge")
 
     units = _blocks(config, target.dimension)
-    if jobs > 1:
+    workers = min(jobs, len(units))
+    if workers > 1:
         with multiprocessing.Pool(
-            jobs,
+            workers,
             initializer=_worker_init,
             initargs=(source, source_fit.params, target, config),
         ) as pool:
@@ -302,6 +303,16 @@ def run_experiment(
     )
     tables = _aggregate(records, config)
     return ExperimentResult(config, source_fit, tuple(records), tables)
+
+
+def _check_learning_sizes(sizes, target: LabeledSample) -> None:
+    """Every learning size must leave a non-empty test split of the target."""
+    for n in sizes:
+        if not 1 <= n < target.n_records:
+            raise ValueError(
+                f"learning size {n} must be at least 1 and below the target size "
+                f"{target.n_records}"
+            )
 
 
 def _aggregate(records, config: ExperimentConfig) -> dict[str, ResultTable]:
@@ -344,6 +355,7 @@ def emit_roc_suite(
     ``roc_<model>.csv`` per model and the combined ``roc_all.svg``.
     """
     n = config.roc_learning_size if learning_size is None else learning_size
+    _check_learning_sizes([n], target)
     if source_params is None:
         source_params = fit_mle(source, config.fit).params
     plan = SplitPlan(n, config.repetitions, config.seed)

@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,19 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def main_fails(capsys, *argv):
+    """Run ``cli.main`` in this process, expecting it to fail; the one JSON
+    line it prints on stderr, after checking that it carries the exit code."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    error = json.loads(line)
+    assert error["code"] == exit_info.value.code
+    return error
 
 
 @pytest.fixture(scope="module")
@@ -307,24 +322,196 @@ class TestExitCodes:
             ("--models", "M1,M1,M3", "duplicate model M1"),
             ("--sizes", "50,50", "duplicate learning size 50"),
             ("--models", ",", "models must be non-empty"),
+            ("--sizes", "0", "learning size 0 must be at least 1 and below the target size 274"),
+            ("--sizes", "274", "learning size 274 must be at least 1 and below the target size 274"),
+            ("--jobs", "0", "jobs must be >= 1, got 0"),
+            ("--jobs", "-3", "jobs must be >= 1, got -3"),
         ],
-        ids=["duplicate-model", "duplicate-size", "no-model"],
+        ids=["duplicate-model", "duplicate-size", "no-model", "size-0", "size-274",
+             "jobs-0", "jobs-negative"],
     )
     def test_sweep_list_is_usage_error(self, german_csv, tmp_path, capsys, option, value, message):
         out = tmp_path / "out"
         options = {"--sizes": "50", "--repetitions": "3", option: value}
-        argv = ["experiment", "--data", str(german_csv), "--out", str(out)]
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main([*argv, *(item for pair in options.items() for item in pair)])
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.strip().splitlines()
-        assert json.loads(line) == {"error": message, "code": 2}
+        argv = ["experiment", "--data", german_csv, "--out", out]
+        error = main_fails(capsys, *argv, *(item for pair in options.items() for item in pair))
+        assert error == {"error": message, "code": 2}
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "274"])
+    def test_roc_learning_size_is_usage_error(self, german_csv, tmp_path, capsys, size):
+        """The same range check, message and exit code as experiment's sizes."""
+        out = tmp_path / "out"
+        error = main_fails(capsys, "roc", "--data", german_csv, "--out", out, "--n", size)
+        message = f"learning size {size} must be at least 1 and below the target size 274"
+        assert error == {"error": message, "code": 2}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (2, ["experiment", "--data", "{german}", "--out", "{file}",
+                 "--sizes", "50", "--repetitions", "1", "--models", "M1"]),
+            (2, ["split", "--data", "{german}", "--out", "{file}"]),
+            (2, ["fit", "--data", "{german}", "--out", "{missing}/params.json"]),
+            (3, ["fit", "--data", "{directory}"]),
+            (3, ["fit", "--data", "{latin1}"]),
+            (3, ["fit", "--data", "{german}", "--config", "{directory}"]),
+            (3, ["fit", "--data", "{german}", "--config", "{latin1}"]),
+            (3, ["evaluate", "--params", "{directory}", "--data", "{german}"]),
+        ],
+        ids=["experiment-out-is-file", "split-out-is-file", "fit-out-in-missing-dir",
+             "data-is-directory", "data-not-utf8", "config-is-directory", "config-not-utf8",
+             "params-is-directory"],
+    )
+    def test_file_error_is_one_json_line(self, german_csv, tmp_path, capsys, code, argv):
+        """An input that cannot be read is a data error, an output that
+        cannot be written a usage error; neither prints a traceback."""
+        paths = {
+            "german": german_csv,
+            "file": tmp_path / "file",
+            "missing": tmp_path / "missing",
+            "directory": tmp_path / "directory",
+            "latin1": tmp_path / "latin1.csv",
+        }
+        paths["file"].write_text("kept\n")
+        paths["directory"].mkdir()
+        paths["latin1"].write_bytes("x,kredit\n\xe9,1\n".encode("latin-1"))
+        error = main_fails(capsys, *(arg.format(**paths) for arg in argv))
+        assert error["code"] == code
+        assert paths["file"].read_text() == "kept\n"
+        assert not paths["missing"].exists()
 
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1
         json.loads(lines[0])
+
+
+class TestConfigValues:
+    """A --config value is parsed as its flag's text would be."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"sizes": [50.7]},
+            {"repetitions": 2.9},
+            {"seed": True},
+            {"jobs": "two"},
+            {"target_column": 5},
+        ],
+        ids=["fractional-size", "fractional-repetitions", "bool-seed", "text-jobs",
+             "numeric-column"],
+    )
+    def test_mistyped_value_is_usage_error(self, german_csv, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        error = main_fails(
+            capsys, "experiment", "--data", german_csv, "--out", out, "--config", path
+        )
+        assert error["code"] == 2
+        (key,) = config
+        assert f"config key {key!r}" in error["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"sizes": "50,100", "ridge": 1, "models": "M1,M3"},
+             ["--sizes", "50,100", "--ridge", "1", "--models", "M1,M3"]),
+            ({"sizes": [50, 100], "ridge": 1, "models": ["M1", "M3"]},
+             ["--sizes", "50,100", "--ridge", "1", "--models", "M1,M3"]),
+            ({"sizes": 50, "ridge": 1, "models": "M3"},
+             ["--sizes", "50", "--ridge", "1", "--models", "M3"]),
+        ],
+        ids=["text", "lists", "single-values"],
+    )
+    def test_accepted_forms_match_flags(self, german_csv, tmp_path, capsys, config, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["experiment", "--data", str(german_csv), "--repetitions", "1"]
+        assert cli.main([*argv, "--out", str(tmp_path / "config"), "--config", str(path)]) == 0
+        assert cli.main([*argv, "--out", str(tmp_path / "flags"), *flags]) == 0
+        capsys.readouterr()
+        metadata = [(tmp_path / name / "metadata.json").read_bytes() for name in ("config", "flags")]
+        assert metadata[0] == metadata[1]
+
+
+# Each subcommand's long flags, required flags and config keys, as the
+# command line has had them since the config keys were introduced.
+CONTRACT = {
+    "split": (
+        {"--data", "--out", "--target-column", "--split-column", "--config"},
+        {"--data", "--out"},
+        {"target_column", "split_column"},
+    ),
+    "fit": (
+        {"--data", "--out", "--target-column", "--ridge", "--max-iterations", "--tolerance",
+         "--config"},
+        {"--data"},
+        {"target_column", "ridge", "max_iterations", "tolerance"},
+    ),
+    "transfer": (
+        {"--model", "--source-params", "--source-data", "--learning", "--out",
+         "--target-column", "--ridge", "--max-iterations", "--tolerance", "--config"},
+        {"--model", "--learning"},
+        {"target_column", "ridge", "max_iterations", "tolerance"},
+    ),
+    "evaluate": (
+        {"--params", "--data", "--target-column", "--threshold", "--config"},
+        {"--params", "--data"},
+        {"target_column", "threshold"},
+    ),
+    "experiment": (
+        {"--data", "--out", "--seed", "--sizes", "--repetitions", "--models", "--threshold",
+         "--ridge", "--jobs", "--target-column", "--split-column", "--config"},
+        {"--data", "--out"},
+        {"target_column", "split_column", "seed", "sizes", "repetitions", "models",
+         "threshold", "ridge", "jobs"},
+    ),
+    "roc": (
+        {"--data", "--out", "--n", "--seed", "--threshold", "--ridge", "--target-column",
+         "--split-column", "--config"},
+        {"--data", "--out"},
+        {"target_column", "split_column", "n", "seed", "threshold", "ridge"},
+    ),
+    "gaussian-check": (
+        {"--dim", "--seed", "--instances", "--config"},
+        set(),
+        {"dim", "seed", "instances"},
+    ),
+}
+
+
+class TestContract:
+    def test_flags_and_config_keys(self, tmp_path, capsys):
+        parsers = cli._build_parser()._subparsers._group_actions[0].choices
+        assert set(parsers) == set(CONTRACT)
+        every_key = set().union(*(keys for _, _, keys in CONTRACT.values()))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict.fromkeys(every_key, 1)))
+        for command, (flags, required, keys) in CONTRACT.items():
+            actions = [a for a in parsers[command]._actions if "--help" not in a.option_strings]
+            assert {flag for a in actions for flag in a.option_strings} == flags
+            assert {flag for a in actions if a.required for flag in a.option_strings} == required
+            # the config is read before any input: the unknown keys are the rest
+            dummies = {"--model": "M1"}
+            argv = [item for flag in sorted(required) for item in (flag, dummies.get(flag, "x"))]
+            error = main_fails(capsys, command, *argv, "--config", config)
+            assert error == {"error": f"unknown config keys: {sorted(every_key - keys)}",
+                             "code": 2}
+
+    def test_readme_table_matches_cli(self):
+        """README's "subcommand | config keys" table lists each command's options."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | config keys |", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            commands, keys = row.strip("|").split("|")
+            for command in re.findall(r"`([^`]+)`", commands):
+                documented[command] = re.findall(r"`([^`]+)`", keys)
+        assert documented == {
+            command: list(options) for command, (*_, options) in cli._COMMANDS.items()
+        }

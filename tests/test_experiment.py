@@ -112,6 +112,32 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="below the target size"):
             run_experiment(source, target, ExperimentConfig(learning_sizes=(274,)))
 
+    def test_pool_capped_at_unit_count(
+        self, source, target, small_config, small_result, monkeypatch
+    ):
+        """No more workers than work units; the fake pool starts no process."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, items):
+                return list(map(function, items))
+
+        monkeypatch.setattr(experiment_module.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(experiment_module, "_WORKER_STATE", {})
+        result = run_experiment(source, target, small_config, jobs=64)
+        assert sizes == [len(_blocks(small_config, target.dimension))]
+        assert result.records == small_result.records
+
     def test_model_subset(self, source, target):
         config = ExperimentConfig(
             learning_sizes=(50,), repetitions=2, seed=1, models=(LinkModelKind.M1, LinkModelKind.M3)

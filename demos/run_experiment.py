@@ -41,5 +41,5 @@ for metric in ("test_error", "type_ii", "type_i"):
     print()
 
 write_experiment_outputs(result, out_dir)
-emit_roc_suite(source, target, config, out_dir=out_dir)
+emit_roc_suite(source, target, config, out_dir=out_dir, result=result)
 print(f"outputs written to {out_dir}/")

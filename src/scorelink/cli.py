@@ -199,6 +199,14 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _check_out_dir(out: str) -> None:
+    """--out must be a directory or creatable as one; checked before any
+    input is read, and creates nothing."""
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not existing.is_dir():
+        raise _UsageError(f"--out {out}: {existing} is not a directory")
+
+
 def _subpopulations(args):
     sample = load_csv(args.data, args.target_column)
     return split_by_account_status(sample, args.split_column)
@@ -262,6 +270,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_out_dir(args.out)
     source, target = _subpopulations(args)
     config = ExperimentConfig(
         learning_sizes=args.sizes,
@@ -281,13 +290,13 @@ def _cmd_experiment(args) -> int:
             "target_records": target.n_records,
         },
     )
-    emit_roc_suite(source, target, config, out_dir=args.out,
-                   source_params=result.source_fit.params)
+    emit_roc_suite(source, target, config, out_dir=args.out, result=result)
     print(json.dumps({"out": str(args.out), "failures": result.failures}, allow_nan=False))
     return 0
 
 
 def _cmd_roc(args) -> int:
+    _check_out_dir(args.out)
     source, target = _subpopulations(args)
     config = ExperimentConfig(seed=args.seed, threshold=args.threshold, fit=_fit_config(args))
     curves = emit_roc_suite(source, target, config, learning_size=args.n, out_dir=args.out)

@@ -24,11 +24,6 @@ import numpy as np
 
 from .exceptions import DataError
 
-SOURCE_TAG = "source"
-TARGET_TAG = "target"
-POOLED_TAG = "pooled"
-_TAGS = (SOURCE_TAG, TARGET_TAG, POOLED_TAG)
-
 DEFAULT_TARGET_COLUMN = "kredit"
 DEFAULT_SPLIT_COLUMN = "laufkont"
 
@@ -38,14 +33,12 @@ class LabeledSample:
     """A feature matrix plus binary labels for one subpopulation.
 
     ``features`` has shape (n, d), ``labels`` shape (n,) with values in
-    {0, 1}. ``tag`` names the subpopulation: "source" (customers),
-    "target" (non-customers) or "pooled".
+    {0, 1}.
     """
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    tag: str = POOLED_TAG
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=float)
@@ -62,8 +55,6 @@ class LabeledSample:
         labels = labels.astype(int, copy=False)
         if len(self.feature_names) != feats.shape[1]:
             raise DataError("feature_names length must equal the column count")
-        if self.tag not in _TAGS:
-            raise DataError(f"tag must be one of {_TAGS}, got {self.tag!r}")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -84,9 +75,7 @@ class LabeledSample:
         return self.n_records - ones, ones
 
     def subset(self, indices: np.ndarray) -> "LabeledSample":
-        return LabeledSample(
-            self.features[indices], self.labels[indices], self.feature_names, self.tag
-        )
+        return LabeledSample(self.features[indices], self.labels[indices], self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,7 @@ def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
                 k += 1
         raise DataError(f"{origin}: cell at row {k + 2}, column "
                         f"{feature_names[j]!r} is not finite: {value}")
-    return LabeledSample(features, np.array(labels), feature_names, POOLED_TAG)
+    return LabeledSample(features, np.array(labels), feature_names)
 
 
 def write_csv(
@@ -228,13 +217,10 @@ def split_by_account_status(
     for mask, side in ((source_mask, "source"), (~source_mask, "target")):
         if not mask.any():
             raise DataError(f"empty subpopulation: no {side} records")
-    source = LabeledSample(
-        sample.features[np.ix_(source_mask, keep)], sample.labels[source_mask], names, SOURCE_TAG
+    return tuple(
+        LabeledSample(sample.features[np.ix_(mask, keep)], sample.labels[mask], names)
+        for mask in (source_mask, ~source_mask)
     )
-    target = LabeledSample(
-        sample.features[np.ix_(~source_mask, keep)], sample.labels[~source_mask], names, TARGET_TAG
-    )
-    return source, target
 
 
 def _philox(seed: int, learning_size: int, repetition_index: int) -> np.random.Generator:

@@ -20,6 +20,10 @@ are sorted by (learning size, repetition, model) before any reduction, so
 serial and parallel runs emit byte-identical outputs.
 Partitions are drawn per (seed, n, repetition) -- independent across
 learning sizes, shared across models within a repetition.
+
+The sweep is the only place that fits a model: each record carries its
+fit, and the ROC suite scores the fits of repetition 0 at one learning
+size on that split's test rows.
 """
 
 from __future__ import annotations
@@ -27,23 +31,16 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import LabeledSample, SplitPlan, draw_split, split_rows
+from .dataset import LabeledSample, SplitPlan, split_rows
 from .evaluation import RocCurve, _rates, _tally, roc, write_roc_csv, write_roc_svg
 from .exceptions import NumericalError
-from .links import (
-    LinkModelKind,
-    _chunks,
-    _m7_block,
-    _transition_block,
-    estimate_transition,
-    fit_m7,
-)
+from .links import LinkModelKind, _chunks, _m7_block, _transition_block
 from .logistic import FitConfig, FitReport, LogisticParams, _matvec, fit_mle, score, sigmoid
 
 ALL_MODELS = tuple(LinkModelKind)
@@ -105,6 +102,8 @@ class RepetitionRecord:
     type_i: float
     type_ii: float
     failed: bool = False
+    # the fit as (intercept, *coefficients), None if it failed; not a CSV column
+    target_params: tuple[float, ...] | None = None
 
     _FIELDS = (
         "learning_size", "repetition", "model", "converged", "log_likelihood",
@@ -206,6 +205,11 @@ def _run_unit(
         *counts.tolist(),
         *(rate.tolist() for rate in _rates(*counts)),
         failed.tolist(),
+        [
+            [(b0, *b) if error is None else None for error, b0, b in
+             zip(block.errors, block.intercepts.tolist(), block.coefficients.tolist())]
+            for block in blocks
+        ],
     ]
     per_model = [list(zip(*(column[k] for column in columns))) for k in range(len(blocks))]
     return [
@@ -275,7 +279,12 @@ def run_experiment(
     The units run in a pool of ``min(jobs, units)`` worker processes, or
     in this process when that is 1.
     """
-    _check_learning_sizes(config.learning_sizes, target)
+    for n in config.learning_sizes:  # each must leave a non-empty test split
+        if not 1 <= n < target.n_records:
+            raise ValueError(
+                f"learning size {n} must be at least 1 and below the target size "
+                f"{target.n_records}"
+            )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     source_fit = fit_mle(source, config.fit)
@@ -303,16 +312,6 @@ def run_experiment(
     )
     tables = _aggregate(records, config)
     return ExperimentResult(config, source_fit, tuple(records), tables)
-
-
-def _check_learning_sizes(sizes, target: LabeledSample) -> None:
-    """Every learning size must leave a non-empty test split of the target."""
-    for n in sizes:
-        if not 1 <= n < target.n_records:
-            raise ValueError(
-                f"learning size {n} must be at least 1 and below the target size "
-                f"{target.n_records}"
-            )
 
 
 def _aggregate(records, config: ExperimentConfig) -> dict[str, ResultTable]:
@@ -346,29 +345,29 @@ def emit_roc_suite(
     config: ExperimentConfig = ExperimentConfig(),
     learning_size: int | None = None,
     out_dir: str | Path | None = None,
-    source_params: LogisticParams | None = None,
+    result: ExperimentResult | None = None,
 ) -> dict[str, RocCurve]:
-    """One ROC curve per model on the repetition-0 split at ``learning_size``.
-
-    ``source_params`` is the source fit to transfer; when omitted, the
-    source is fitted here. When ``out_dir`` is given, writes one
+    """One ROC curve per model on the repetition-0 split at ``learning_size``,
+    from the fits the sweep ``result`` made there (by default the sweep of
+    ``config`` at that one size and one repetition: the same split). A
+    failed fit raises NumericalError. When ``out_dir`` is given, writes one
     ``roc_<model>.csv`` per model and the combined ``roc_all.svg``.
     """
     n = config.roc_learning_size if learning_size is None else learning_size
-    _check_learning_sizes([n], target)
-    if source_params is None:
-        source_params = fit_mle(source, config.fit).params
-    plan = SplitPlan(n, config.repetitions, config.seed)
-    learning, test = draw_split(target, plan, 0)
+    if result is None:
+        result = run_experiment(source, target, replace(config, learning_sizes=(n,), repetitions=1))
+    elif n not in result.config.learning_sizes:
+        raise ValueError(f"learning size {n} was not swept")
+    plan = SplitPlan(n, result.config.repetitions, result.config.seed)
+    test = target.subset(split_rows(target, plan, 0)[1])
 
     curves = {}
-    for kind in config.models:
-        if kind is LinkModelKind.M7:
-            fit = fit_m7(source, learning, config.fit)
-        else:
-            fit = estimate_transition(kind, source_params, learning, config.fit)
-        scores = score(fit.target_params, test.features)
-        curves[kind.value] = roc(scores, test.labels)
+    for record in (r for r in result.records if (r.learning_size, r.repetition) == (n, 0)):
+        if record.target_params is None:
+            raise NumericalError(f"{record.model} fit failed on repetition 0 at learning size {n}")
+        intercept, *coefficients = record.target_params
+        scores = score(LogisticParams(intercept, coefficients), test.features)
+        curves[record.model] = roc(scores, test.labels)
 
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SOURCE_TAG, LabeledSample
+from .dataset import LabeledSample
 from .logistic import LogisticParams
 
 _SYMMETRY_TOL = 1e-12
@@ -153,7 +153,7 @@ def sample_mixture(spec: MixtureSpec, n: int, seed: int) -> LabeledSample:
         chol = np.linalg.cholesky(params.covariance)
         feats[mask] = params.mean + normals[mask] @ chol.T
     names = tuple(f"x{j + 1}" for j in range(spec.dimension))
-    return LabeledSample(feats, labels, names, SOURCE_TAG)
+    return LabeledSample(feats, labels, names)
 
 
 def apply_link(

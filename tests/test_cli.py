@@ -5,10 +5,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scorelink.experiment as experiment_module
-from scorelink import cli
+import scorelink.links as links_module
+from scorelink import LabeledSample, SplitPlan, cli
+from scorelink.dataset import split_rows
 
 
 def run_cli(*args):
@@ -239,22 +242,60 @@ class TestExperimentCommand:
         assert "'n'" in json.loads(proc.stderr)["error"]
 
     def test_source_fitted_once(self, german_csv, tmp_path, monkeypatch, capsys):
-        """The ROC suite reuses the sweep's source fit instead of refitting."""
+        """The ROC suite reads the sweep's fits: the source is fitted once,
+        and no model is fitted one split at a time."""
         fitted = []
-        original = experiment_module.fit_mle
 
-        def counting(sample, *args, **kwargs):
-            fitted.append(sample.tag)
-            return original(sample, *args, **kwargs)
+        def counting(name, function):
+            def wrapper(sample, *args, **kwargs):
+                fitted.append((name, sample.n_records))
+                return function(sample, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(experiment_module, "fit_mle", counting)
+        monkeypatch.setattr(
+            experiment_module, "fit_mle", counting("fit_mle", experiment_module.fit_mle)
+        )
+        for name in ("estimate_transition", "fit_m7"):
+            function = getattr(links_module, name)
+            for module in (links_module, experiment_module, cli):
+                if vars(module).get(name) is function:
+                    monkeypatch.setattr(module, name, counting(name, function))
         code = cli.main([
             "experiment", "--data", str(german_csv), "--out", str(tmp_path / "out"),
-            "--sizes", "50", "--repetitions", "1", "--models", "M1,M3",
+            "--sizes", "50", "--repetitions", "1",
         ])
         assert code == 0
-        assert fitted.count("source") == 1
+        assert fitted == [("fit_mle", 726)]  # the 726 customers
         assert json.loads(capsys.readouterr().out)["failures"] == 0
+
+    def test_failed_roc_fit_is_numerical_error(self, tmp_path, capsys):
+        """A fit that failed on the ROC split exits 4 naming the model,
+        after the tables are written. The target's two positives are both
+        test rows, so at ridge 0 M2-M6 have no finite fit on its learning
+        rows."""
+        rng = np.random.default_rng(3)
+        _, test_rows = split_rows(
+            LabeledSample(np.zeros((12, 1)), np.zeros(12), ("x",)), SplitPlan(4), 0
+        )
+        source_labels = (rng.random(60) < 0.5).astype(int)
+        target_labels = np.zeros(12, dtype=int)
+        target_labels[test_rows[:2]] = 1
+        lines = ["x1,x2,laufkont,kredit"]
+        for accounts, labels in ((2, source_labels), (1, target_labels)):
+            for label, (x1, x2) in zip(labels, rng.normal(size=(len(labels), 2)).tolist()):
+                lines.append(f"{x1!r},{x2!r},{accounts},{label}")
+        data = tmp_path / "few_positives.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        error = main_fails(capsys, "experiment", "--data", data, "--out", out,
+                           "--sizes", "4", "--repetitions", "1", "--ridge", "0")
+        assert error == {
+            "error": "M2 fit failed on repetition 0 at learning size 4",
+            "code": 4,
+        }
+        assert json.loads((out / "metadata.json").read_text())["failures"] == 5
+        assert all((out / f"tables_{metric}.csv").exists()
+                   for metric in ("test_error", "type_i", "type_ii"))
 
 
 class TestRocCommand:
@@ -381,6 +422,26 @@ class TestExitCodes:
         assert error["code"] == code
         assert paths["file"].read_text() == "kept\n"
         assert not paths["missing"].exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "roc"])
+    @pytest.mark.parametrize("out", ["{file}", "{file}/results"])
+    def test_out_checked_before_sweep(self, german_csv, tmp_path, monkeypatch, capsys,
+                                      command, out):
+        """An --out that cannot be a directory is a usage error before any
+        data is read or fitted, here at the default sweep; nothing is created."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("called before --out was checked")
+
+        for module, name in ((cli, "load_csv"), (cli, "run_experiment"),
+                             (experiment_module, "run_experiment")):
+            monkeypatch.setattr(module, name, never)
+        file = tmp_path / "file"
+        file.write_text("kept\n")
+        out = out.format(file=file)
+        error = main_fails(capsys, command, "--data", german_csv, "--out", out)
+        assert error == {"error": f"--out {out}: {file} is not a directory", "code": 2}
+        assert file.read_text() == "kept\n"
 
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))

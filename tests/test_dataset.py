@@ -85,8 +85,6 @@ class TestSplitByAccountStatus:
         """726 customers vs 274 non-customers."""
         assert source.n_records == 726
         assert target.n_records == 274
-        assert source.tag == "source"
-        assert target.tag == "target"
 
     def test_split_column_removed_from_both(self, german, source, target):
         assert "laufkont" not in source.feature_names

@@ -278,6 +278,32 @@ class TestRocSuite:
         np.testing.assert_array_equal(a["M1"].miss_rate, b["M1"].miss_rate)
         assert a["M1"].auc == b["M1"].auc
 
+    def test_experiment_files_equal_standalone_suite(
+        self, source, target, small_config, tmp_path, capsys
+    ):
+        """The curves experiment draws from its sweep's fits are the bytes
+        of the suite run alone, which sweeps one size and one repetition."""
+        data = resources.files("scorelink").joinpath("data/german.csv")
+        with resources.as_file(data) as path:
+            argv = ["experiment", "--data", str(path), "--out", str(tmp_path / "experiment"),
+                    "--sizes", "50,100", "--repetitions", "4", "--seed", "202"]
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        emit_roc_suite(source, target, small_config, out_dir=tmp_path / "alone")
+        files = [*(f"roc_M{k}.csv" for k in range(1, 8)), "roc_all.svg"]
+        for name in files:
+            expected = (tmp_path / "alone" / name).read_bytes()
+            assert (tmp_path / "experiment" / name).read_bytes() == expected
+
+    def test_unswept_size_rejected(self, source, target, small_config, small_result):
+        with pytest.raises(ValueError, match="learning size 200 was not swept"):
+            emit_roc_suite(source, target, small_config, learning_size=200, result=small_result)
+
+    def test_unconverged_fit_rejected(self, source, target, small_config):
+        config = dataclasses.replace(small_config, fit=FitConfig(max_iterations=1))
+        with pytest.raises(NumericalError):
+            emit_roc_suite(source, target, config)
+
 
 def same_records(a, b) -> bool:
     # repr, because failed records hold NaN, which equals nothing
@@ -320,8 +346,7 @@ class TestBlocks:
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", counting_batch)
         monkeypatch.setattr(links_module, "maximize_logistic", counting("single", single))
-        for module in (experiment_module, links_module):
-            monkeypatch.setattr(module, "fit_m7", counting("fit_m7", module.fit_m7))
+        monkeypatch.setattr(links_module, "fit_m7", counting("fit_m7", links_module.fit_m7))
         fit_mle = counting("fit_mle", experiment_module.fit_mle)
         monkeypatch.setattr(experiment_module, "fit_mle", fit_mle)
         config = ExperimentConfig(learning_sizes=(50, 100), repetitions=4, seed=202)
@@ -348,10 +373,10 @@ class TestBlockFailures:
         names = ("a", "b")
         features = rng.normal(size=(300, 2))
         labels = (rng.random(300) < 1 / (1 + np.exp(-features @ [1.0, -1.0]))).astype(int)
-        source = LabeledSample(features, labels, names, "source")
+        source = LabeledSample(features, labels, names)
         target_labels = np.zeros(40, dtype=int)
         target_labels[:3] = 1
-        target = LabeledSample(rng.normal(size=(40, 2)), target_labels, names, "target")
+        target = LabeledSample(rng.normal(size=(40, 2)), target_labels, names)
         config = ExperimentConfig(learning_sizes=(6,), repetitions=8, seed=3, fit=FitConfig(ridge=0.0))
         params = fit_mle(source, config.fit).params
 
@@ -411,11 +436,11 @@ class TestUndefinedRates:
         names = ("a", "b")
         features = rng.normal(size=(300, 2))
         labels = (rng.random(300) < 1 / (1 + np.exp(-features @ [1.0, -1.0]))).astype(int)
-        source = LabeledSample(features, labels, names, "source")
+        source = LabeledSample(features, labels, names)
         # 4 negatives among 40 rows: a test split of 4 often holds none
         target_labels = np.ones(40, dtype=int)
         target_labels[:4] = 0
-        target = LabeledSample(rng.normal(size=(40, 2)), target_labels, names, "target")
+        target = LabeledSample(rng.normal(size=(40, 2)), target_labels, names)
         config = ExperimentConfig(learning_sizes=(36,), repetitions=12, seed=1)
         return run_experiment(source, target, config)
 
@@ -464,7 +489,7 @@ def scored_blocks(draw):
     grid = draw(st.booleans())
     features = rng.integers(-3, 4, size=(n, d)) if grid else rng.normal(size=(n, d))
     labels = (rng.random(n) < draw(st.sampled_from([0.05, 0.5, 0.95]))).astype(int)
-    target = LabeledSample(features, labels, tuple(f"x{j}" for j in range(d)), "target")
+    target = LabeledSample(features, labels, tuple(f"x{j}" for j in range(d)))
     size = draw(st.integers(1, n))
     test_rows = np.sort(
         np.stack([rng.permutation(n)[:size] for _ in range(repetitions)]), axis=1
@@ -510,11 +535,11 @@ def small_sweeps(draw):
     names = ("a", "b")
     features = rng.normal(size=(120, 2))
     labels = (rng.random(120) < 1 / (1 + np.exp(-features @ [1.0, -1.0]))).astype(int)
-    source = LabeledSample(features, labels, names, "source")
+    source = LabeledSample(features, labels, names)
     n_target = draw(st.integers(10, 24))
     target_labels = (rng.random(n_target) < draw(st.sampled_from([0.15, 0.5, 0.85]))).astype(int)
     target_labels[:2] = (0, 1)
-    target = LabeledSample(rng.normal(size=(n_target, 2)), target_labels, names, "target")
+    target = LabeledSample(rng.normal(size=(n_target, 2)), target_labels, names)
     config = ExperimentConfig(
         learning_sizes=(draw(st.integers(3, 8)),),
         repetitions=draw(st.integers(1, 5)),
@@ -546,7 +571,7 @@ class TestBlockRecords:
                 else:
                     fit = estimate_transition(kind, params, learning, config.fit)
             except NumericalError:
-                assert record.failed and not record.converged
+                assert record.failed and not record.converged and record.target_params is None
                 assert dataclasses.astuple(record)[5:9] == (0, 0, 0, 0)
                 assert all(np.isnan(getattr(record, m)) for m in ("test_error", "type_i", "type_ii"))
                 continue
@@ -554,8 +579,9 @@ class TestBlockRecords:
             report = error_report(counts, config.threshold)
             rates = {m: getattr(report, m) for m in ("test_error", "type_i", "type_ii")}
             rates.update(dict.fromkeys(report.undefined, float("nan")))
+            target_params = (fit.target_params.intercept, *fit.target_params.coefficients.tolist())
             expected = experiment_module.RepetitionRecord(
                 n, record.repetition, record.model, fit.converged, fit.log_likelihood,
-                *dataclasses.astuple(counts), **rates,
+                *dataclasses.astuple(counts), **rates, target_params=target_params,
             )
             assert repr(record) == repr(expected)

@@ -34,13 +34,13 @@ ALL_TRANSITION_KINDS = [
 ]
 
 
-def synthetic_sample(params, n, rng, tag="target"):
+def synthetic_sample(params, n, rng):
     """Draw labels from the logistic model given random features."""
     feats = rng.normal(size=(n, params.dimension))
     probs = score(params, feats)
     labels = (rng.random(n) < probs).astype(int)
     names = tuple(f"x{j}" for j in range(params.dimension))
-    return LabeledSample(feats, labels, names, tag)
+    return LabeledSample(feats, labels, names)
 
 
 def block_fits(kind, source, source_sample, learnings, config=FitConfig()):
@@ -348,7 +348,6 @@ class TestM7:
             np.vstack([source.features, learning.features]),
             np.concatenate([source.labels, learning.labels]),
             source.feature_names,
-            "pooled",
         )
         assert log_likelihood(fit7.target_params, pooled) >= log_likelihood(
             source_fit.params, pooled
@@ -369,7 +368,7 @@ class TestM7:
 def zero_first_column(sample):
     features = sample.features.copy()
     features[:, 0] = 0.0
-    return LabeledSample(features, sample.labels, sample.feature_names, sample.tag)
+    return LabeledSample(features, sample.labels, sample.feature_names)
 
 
 @st.composite
@@ -386,7 +385,7 @@ def m7_blocks(draw):
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     truth = LogisticParams(rng.normal(scale=0.5), rng.normal(size=d))
-    source = synthetic_sample(truth, draw(st.integers(40, 120)), rng, tag="source")
+    source = synthetic_sample(truth, draw(st.integers(40, 120)), rng)
     n = draw(st.integers(5, 30))
     learnings = [synthetic_sample(truth, n, rng) for _ in range(draw(st.integers(1, 9)))]
     zero = draw(st.lists(st.booleans(), min_size=len(learnings), max_size=len(learnings)))
@@ -434,7 +433,7 @@ class TestM7Blocks:
 
     def test_zero_column_member_takes_least_squares(self, rng, monkeypatch):
         truth = LogisticParams(0.3, np.array([0.8, -1.0]))
-        source = zero_first_column(synthetic_sample(truth, 80, rng, tag="source"))
+        source = zero_first_column(synthetic_sample(truth, 80, rng))
         learnings = [synthetic_sample(truth, 20, rng) for _ in range(3)]
         learnings[1] = zero_first_column(learnings[1])
         calls = []
@@ -453,9 +452,9 @@ class TestM7Blocks:
 
     def test_single_class_pooled_member_fails_alone(self, rng):
         names = ("a",)
-        source = LabeledSample(rng.normal(size=(30, 1)), np.zeros(30, dtype=int), names, "source")
+        source = LabeledSample(rng.normal(size=(30, 1)), np.zeros(30, dtype=int), names)
         learnings = [
-            LabeledSample(rng.normal(size=(6, 1)), labels, names, "target")
+            LabeledSample(rng.normal(size=(6, 1)), labels, names)
             for labels in ([0, 1, 0, 1, 0, 0], [0] * 6, [1, 1, 0, 0, 1, 0])
         ]
         fits = block_fits(LinkModelKind.M7, None, source, learnings, FitConfig(ridge=0.0))
@@ -477,7 +476,7 @@ def unpacked_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
     truth = LogisticParams(rng.normal(scale=0.5), np.where(zero, 0.0, rng.normal(size=d)))
-    source_sample = synthetic_sample(truth, draw(st.integers(30, 80)), rng, tag="source")
+    source_sample = synthetic_sample(truth, draw(st.integers(30, 80)), rng)
     n = draw(st.integers(4, 30))
     learnings = [synthetic_sample(truth, n, rng) for _ in range(draw(st.integers(1, 6)))]
     config = FitConfig(ridge=draw(st.sampled_from([0.0, 1e-8, 0.5])))
@@ -529,13 +528,13 @@ def golden_blocks():
         coefficients[list(pinned[seed])] = [0.0, 3e-11, -7e-11][: len(pinned[seed])]
         source = LogisticParams(rng.normal(scale=0.5), coefficients)
 
-        def draw(n, tag, single_class=False):
+        def draw(n, single_class=False):
             features = rng.normal(size=(n, d)) * scale[:d]
             labels = (rng.random(n) < score(source, features)).astype(int)
-            return LabeledSample(features, labels * (not single_class), names, tag)
+            return LabeledSample(features, labels * (not single_class), names)
 
-        source_sample = draw(40, "source", single_class=seed == 3)
-        learnings = [draw(20, "target", single_class=i == 1) for i in range(5)]
+        source_sample = draw(40, single_class=seed == 3)
+        learnings = [draw(20, single_class=i == 1) for i in range(5)]
         yield source, source_sample, learnings, FitConfig(ridge=ridge)
 
 

@@ -98,7 +98,8 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
 
     The target column supplies the binary label and is removed from the
     feature set. Raises DataError for a missing, unreadable or non-UTF-8
-    file, a missing target column, an unparseable or non-finite cell
+    file, a header naming a column twice, a missing target column, an
+    unparseable or non-finite cell
     (reported with row and column), or an empty table.
     """
     path = Path(path)
@@ -124,6 +125,9 @@ def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
     except StopIteration:
         raise DataError(f"{origin}: empty file") from None
     header = [h.strip() for h in header]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise DataError(f"{origin}: column {name!r} appears more than once in the header")
     if target_column not in header:
         raise DataError(f"{origin}: target column {target_column!r} not in header")
     target_idx = header.index(target_column)

@@ -31,8 +31,10 @@ from the identity: c^2, (lambda - 1)^2, sum_j (L_j - 1)^2.
 
 Every kind also fits a block of equal-size learning samples, given as
 the (B, n, d) features and (B, n) labels the sweep holds, through the
-batched Newton engine, each fit bitwise the one of its sample alone;
-:func:`estimate_transition` and :func:`fit_m7` are the block of one.
+batched Newton engine, each fit bitwise the one of its sample alone. The
+block reads the engine's arrays of solutions and convergence flags
+directly; :func:`estimate_transition` and :func:`fit_m7` are the block
+of one and take the same path.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from .exceptions import NumericalError
 from .logistic import (
     FitConfig,
     LogisticParams,
-    _SINGLE_CLASS,
+    _class_errors,
     _log_likelihood,
     _matvec,
-    maximize_logistic,
     maximize_logistic_batch,
 )
 
@@ -163,21 +164,6 @@ class TransferFit:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), allow_nan=False)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransferFit":
-        kind = LinkModelKind(data["model"])
-        transition = None
-        if "c" in data:
-            transition = TransitionParams(data["c"], np.asarray(data["lambda"], dtype=float))
-        return cls(
-            kind=kind,
-            transition=transition,
-            target_params=LogisticParams.from_dict(data),
-            log_likelihood=float(data["log_likelihood"]),
-            converged=bool(data["converged"]),
-            unidentifiable=tuple(data.get("unidentifiable", ())),
-        )
-
 
 def compose(source: LogisticParams, transition: TransitionParams) -> LogisticParams:
     """Apply the link: intercept + shift, coefficients scaled component-wise."""
@@ -249,14 +235,6 @@ class _Block(NamedTuple):
         ]
 
 
-def _class_errors(ones: np.ndarray, rows: int, ridge: float) -> list:
-    """The NumericalError of each member whose sample of ``rows`` rows,
-    ``ones`` of them labelled 1, has a single class at ridge 0 (no finite
-    MLE), else None."""
-    single = ((ones == 0) | (ones == rows)) & (ridge == 0.0)
-    return [NumericalError(_SINGLE_CLASS) if flag else None for flag in single.tolist()]
-
-
 def _finish_block(
     kind, features, labels, errors, intercepts, coefficients, converged, **link
 ) -> _Block:
@@ -323,28 +301,23 @@ def _transition_block(kind, source, features, labels, config) -> _Block:
         width = design.shape[-1]
         center = np.ones(width)
         center[: int(shift_free)] = 0.0
-        newton = dict(
+        result = maximize_logistic_batch(
+            design,
+            labels[fitted].astype(float),
+            offset,
             penalty=np.full(width, config.ridge),
             center=center,
             start=center,
             max_iterations=config.max_iterations,
             gradient_tolerance=config.gradient_tolerance,
         )
-        targets = labels[fitted].astype(float)
-        # a lone fit is one call of the 2-D entry point, which is where
-        # the benchmark's tracer and the optimizer audit observe it
-        if len(fitted) == 1:
-            results = [maximize_logistic(design[0], targets[0], offset[0], **newton)]
-        else:
-            results = maximize_logistic_batch(design, targets, offset, **newton)
-        x = np.array([result.x for result in results])
-        converged[fitted] = [result.converged for result in results]
+        converged[fitted] = result.converged
         if shift_free:
-            shift[fitted] = x[:, 0]
+            shift[fitted] = result.x[:, 0]
         if scale_kind == "common":
-            scale[fitted] = x[:, -1:]
+            scale[fitted] = result.x[:, -1:]
         else:
-            scale[np.ix_(fitted, free)] = x[:, int(shift_free):]
+            scale[np.ix_(fitted, free)] = result.x[:, int(shift_free):]
 
     # the links of all members at once, elementwise the arithmetic of compose
     pinned = ()
@@ -477,16 +450,12 @@ def _pooled_fits(source_sample, features, labels, fitted, config):
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
     )
-    results = []
+    x = np.empty((len(fitted), d + 1))
+    converged = np.empty(len(fitted), dtype=bool)
     for chunk in chunks:
         members, k = fitted[chunk.start : chunk.stop], len(chunk)
         design[:k, m:, 1:] = features[members]
         pooled_labels[:k, m:] = labels[members]
-        # a lone fit is one call of the 2-D entry point, as in _transition_block
-        if k == 1:
-            results.append(maximize_logistic(design[0], pooled_labels[0], **newton))
-        else:
-            results += maximize_logistic_batch(
-                design[:k], pooled_labels[:k], offset[:k], **newton
-            )
-    return [result.x for result in results], [result.converged for result in results]
+        result = maximize_logistic_batch(design[:k], pooled_labels[:k], offset[:k], **newton)
+        x[chunk], converged[chunk] = result.x, result.converged
+    return x, converged

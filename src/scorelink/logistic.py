@@ -2,17 +2,19 @@
 
 The fitter is a full Newton method with step-halving line search on the
 (optionally ridge-penalized) log-likelihood. A single engine,
-:func:`maximize_logistic_batch`, handles both the plain MLE and the
-constrained transfer estimators in :mod:`scorelink.links`, for one
-problem (:func:`maximize_logistic`) or a stack of independent ones: it
-maximizes
+:func:`maximize_logistic_batch`, fits a stack of independent problems,
+each of which maximizes
 
     sum_i [ y_i eta_i - log(1 + exp(eta_i)) ]
         - 1/2 * sum_j penalty_j * (v_j - center_j)^2,
 
-where ``eta = offset + design @ v``. All probability evaluations use a
-numerically stable sigmoid (no overflow for any finite linear predictor)
-and the likelihood uses ``logaddexp``, so both stay finite everywhere.
+where ``eta = offset + design @ v``, and returns their results as one
+:class:`NewtonBatch` of arrays, a row per member. The constrained
+transfer estimators in :mod:`scorelink.links` call it on whole blocks;
+:func:`fit_mle` fits one problem through :func:`maximize_logistic`, the
+batch of one. All probability evaluations use a numerically stable
+sigmoid (no overflow for any finite linear predictor) and the
+likelihood uses ``logaddexp``, so both stay finite everywhere.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,14 +136,21 @@ class FitReport:
     objective_trace: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class NewtonResult:
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    gradient_norm: float
-    objective: float
-    objective_trace: tuple[float, ...]
+class NewtonBatch(NamedTuple):
+    """The results of a stack of B Newton problems, a row per member.
+
+    ``trace`` (B, T) holds each member's penalized objective at the start
+    and after each accepted step: member b's first ``iterations[b] + 1``
+    entries, then NaN. It has the starting column and one per iteration
+    that ran a line search, so T is at most ``max_iterations + 1``.
+    """
+
+    x: np.ndarray  # (B, p)
+    converged: np.ndarray  # (B,) bool
+    iterations: np.ndarray  # (B,) int
+    gradient_norm: np.ndarray  # (B,)
+    objective: np.ndarray  # (B,)
+    trace: np.ndarray  # (B, T)
 
 
 # The Bernoulli kernel in the linear predictor eta = offset + design @ v.
@@ -192,16 +202,18 @@ def maximize_logistic(
     start: np.ndarray | None = None,
     max_iterations: int = 100,
     gradient_tolerance: float = 1e-8,
-) -> NewtonResult:
+) -> NewtonBatch:
     """Newton maximization of the penalized logistic log-likelihood.
 
     Solves the (design, offset)-parameterized problem described in the
     module docstring for one design of shape (n, p). It is the batch of
-    one of :func:`maximize_logistic_batch`, which states the contract.
+    one of :func:`maximize_logistic_batch`, which states the contract,
+    and returns that member's fields: ``x`` (p,), the flags and norms as
+    Python scalars, and the trace as a tuple of ``iterations + 1`` values.
     """
     design = np.asarray(design, dtype=float)
     n, _ = design.shape
-    (result,) = maximize_logistic_batch(
+    batch = maximize_logistic_batch(
         design[None],
         np.asarray(labels, dtype=float)[None],
         np.broadcast_to(np.asarray(offset, dtype=float), (1, n)),
@@ -211,7 +223,15 @@ def maximize_logistic(
         max_iterations,
         gradient_tolerance,
     )
-    return result
+    iterations = int(batch.iterations[0])
+    return NewtonBatch(
+        batch.x[0],
+        bool(batch.converged[0]),
+        iterations,
+        float(batch.gradient_norm[0]),
+        float(batch.objective[0]),
+        tuple(batch.trace[0, : iterations + 1].tolist()),
+    )
 
 
 def maximize_logistic_batch(
@@ -223,7 +243,7 @@ def maximize_logistic_batch(
     start: np.ndarray | None = None,
     max_iterations: int = 100,
     gradient_tolerance: float = 1e-8,
-) -> list[NewtonResult]:
+) -> NewtonBatch:
     """Newton maximization of a stack of independent penalized problems.
 
     ``design`` has shape (B, n, p), ``labels`` and ``offset`` shape
@@ -234,7 +254,8 @@ def maximize_logistic_batch(
     system by Cholesky, falling back to least squares and then to the
     gradient if that fails, and takes the gradient when the result is not
     an ascent direction; step-halving then enforces the Armijo condition.
-    Member b's result is bitwise that of the batch holding member b alone.
+    The result holds member b's fields in row b, each bitwise those of the
+    batch holding member b alone.
 
     Finished members are compacted out of ``design``, ``labels`` and
     ``offset`` in place, so with B > 1 these must be writable arrays
@@ -255,21 +276,24 @@ def maximize_logistic_batch(
     members = np.arange(batch)  # the member whose problem each row holds
     v = np.repeat(start[None], batch, axis=0)
     obj = objective(v)
-    traces = [[value] for value in obj.tolist()]
-    results: list = [None] * batch
+    trace = [obj]  # then a (B,) column per line search, NaN where no step was taken
+    out = NewtonBatch(
+        np.empty((batch, p)),
+        np.empty(batch, dtype=bool),
+        np.empty(batch, dtype=int),
+        np.empty(batch),
+        np.empty(batch),
+        None,
+    )
 
     def finish(rows, converged, gradient_norm, iteration) -> bool:
         """Record the results of ``rows``; True when no member is left."""
-        for row in np.flatnonzero(rows):
-            member = members[row]
-            results[member] = NewtonResult(
-                v[row].copy(),
-                bool(converged[row]),
-                iteration,
-                float(gradient_norm[row]),
-                float(obj[row]),
-                tuple(traces[member]),
-            )
+        done = members[rows]
+        out.x[done] = v[rows]
+        out.converged[done] = converged[rows]
+        out.iterations[done] = iteration
+        out.gradient_norm[done] = gradient_norm[rows]
+        out.objective[done] = obj[rows]
         return rows.all()
 
     def drop(rows):
@@ -332,9 +356,9 @@ def maximize_logistic_batch(
                 searching &= ~accept
             v = np.where(accepted[:, None], candidate, v)
             obj = np.where(accepted, cand_obj, obj)
-        for member, value, moved in zip(members.tolist(), obj.tolist(), accepted.tolist()):
-            if moved:
-                traces[member].append(value)
+        column = np.full(batch, np.nan)
+        column[members[accepted]] = obj[accepted]
+        trace.append(column)
 
         if not accepted.all():  # numerical floor reached; no further progress possible
             stuck = ~accepted
@@ -342,7 +366,7 @@ def maximize_logistic_batch(
                 break
             drop(stuck)
 
-    return results
+    return out._replace(trace=np.column_stack(trace))
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
@@ -424,12 +448,12 @@ def hessian(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -
 _SINGLE_CLASS = "degenerate labels: sample contains a single class and ridge = 0"
 
 
-def _require_two_classes(class_counts: tuple[int, int], ridge: float) -> None:
-    """Raise NumericalError when an unpenalized fit on a sample with these
-    (label 0, label 1) counts has no finite MLE."""
-    zeros, ones = class_counts
-    if (zeros == 0 or ones == 0) and ridge == 0.0:
-        raise NumericalError(_SINGLE_CLASS)
+def _class_errors(ones, rows: int, ridge: float) -> list:
+    """The NumericalError of each sample of ``rows`` rows, ``ones`` (an
+    array) of them labelled 1, that has a single class at ridge 0, where an
+    unpenalized fit has no finite MLE; None for the others."""
+    single = ((ones == 0) | (ones == rows)) & (ridge == 0.0)
+    return [NumericalError(_SINGLE_CLASS) if flag else None for flag in single.tolist()]
 
 
 def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport:
@@ -441,7 +465,9 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
     """
     if sample.dimension < 1:
         raise ValueError("sample must have at least one feature")
-    _require_two_classes(sample.class_counts(), config.ridge)
+    (error,) = _class_errors(sample.labels.sum(keepdims=True), sample.n_records, config.ridge)
+    if error is not None:
+        raise error
     design, penalty = _intercept_design(sample, config.ridge)
     result = maximize_logistic(
         design,
@@ -457,6 +483,6 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.gradient_norm,
-        objective_trace=result.objective_trace,
+        objective_trace=result.trace,
     )
 

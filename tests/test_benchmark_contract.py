@@ -1,11 +1,13 @@
-"""What the benchmark's tracer (perfbench/stages.py) needs from scorelink.
+"""What the benchmark (perfbench/) needs from scorelink.
 
 The tracer wraps the functions named in ``stages.TRACED`` and reads counts
-off the Newton engine's 2-D calls, so a rename or a signature change shows
-up here rather than in a traced benchmark run. stages.py is loaded by path
-and only read.
+off the Newton engine's 2-D calls, which only ``fit_mle`` makes, and the
+benchmark's scripts import names from scorelink; a rename, a deletion or a
+signature change shows up here rather than in a benchmark run. The
+perfbench files are loaded by path or parsed, and only read.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +17,8 @@ import pytest
 
 from scorelink.logistic import maximize_logistic
 
-STAGES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "stages.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+STAGES_PATH = PERFBENCH / "stages.py"
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +43,25 @@ def test_newton_counts_read_a_2d_fit(stages, rng):
     counts = stages._newton_counts((design, labels), {}, result)
     assert counts == {"iterations": result.iterations, "converged": int(result.converged),
                       "cells": 40 * 3}
+
+
+def scorelink_imports():
+    """(file, module, name) of each ``from scorelink... import name`` in perfbench."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scorelink":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_every_perfbench_import_resolves():
+    imports = list(scorelink_imports())
+    assert ("measure.py", "scorelink.links", "estimate_transition") in imports
+    for filename, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        # an attribute, or a submodule of a package, as in ``from scorelink import cli``
+        found = hasattr(module, name) or (
+            hasattr(module, "__path__")
+            and importlib.util.find_spec(f"{module_name}.{name}") is not None
+        )
+        assert found, f"perfbench/{filename}: from {module_name} import {name}"

@@ -345,6 +345,15 @@ class TestExitCodes:
         err = json.loads(proc.stderr.strip())
         assert err["code"] == 4
 
+    def test_duplicate_header_name_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("laufkont,kredit,kredit\n1,0,0\n2,1,1\n3,1,1\n1,0,0\n")
+        error = main_fails(capsys, "fit", "--data", path)
+        assert error == {
+            "error": f"{path}: column 'kredit' appears more than once in the header",
+            "code": 3,
+        }
+
     def test_non_finite_cell_is_data_error(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("x1,x2,kredit\n1,2,1\n3,nan,0\n4,5,1\n6,7,0\n")

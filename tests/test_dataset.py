@@ -50,6 +50,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="target column"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "header, name",
+        [("laufkont,kredit,kredit", "kredit"), ("laufkont,x,laufkont,kredit", "laufkont")],
+        ids=["target-twice", "split-column-twice"],
+    )
+    def test_duplicate_header_name_rejected(self, tmp_path, header, name):
+        """A second copy of the target would be a predictor equal to the
+        label, and a second split column would survive the split."""
+        width = header.count(",")
+        rows = [",".join(["2"] * width + [label]) for label in "0110"]
+        path = write_lines(tmp_path, "dup.csv", [header, *rows])
+        with pytest.raises(DataError, match=f"column '{name}' appears more than once"):
+            load_csv(path)
+
     def test_unparseable_cell_reports_row_and_column(self, tmp_path):
         path = write_lines(tmp_path, "bad.csv", ["a,b,kredit", "1,2,1", "1,oops,0"])
         with pytest.raises(DataError, match="row 3.*'b'"):

@@ -331,8 +331,8 @@ class TestBlocks:
         assert len(units) < len(config.learning_sizes) * config.repetitions
 
     def test_one_newton_call_per_size_model_and_block(self, source, target, monkeypatch):
-        calls = {"batch": [], "single": 0, "fit_m7": 0, "fit_mle": 0}
-        batch, single = links_module.maximize_logistic_batch, links_module.maximize_logistic
+        calls = {"batch": [], "fit_m7": 0, "fit_mle": 0}
+        batch = links_module.maximize_logistic_batch
 
         def counting_batch(design, *args, **kwargs):
             calls["batch"].append(design.shape[:2])
@@ -345,7 +345,6 @@ class TestBlocks:
             return wrapper
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", counting_batch)
-        monkeypatch.setattr(links_module, "maximize_logistic", counting("single", single))
         monkeypatch.setattr(links_module, "fit_m7", counting("fit_m7", links_module.fit_m7))
         fit_mle = counting("fit_mle", experiment_module.fit_mle)
         monkeypatch.setattr(experiment_module, "fit_mle", fit_mle)
@@ -362,7 +361,7 @@ class TestBlocks:
             member = (source_rows + n) * 20
             assert size * member <= links_module._BLOCK_CELLS < (size + 1) * member
         # no fit per repetition; fit_mle only for the source
-        assert (calls["single"], calls["fit_m7"], calls["fit_mle"]) == (0, 0, 1)
+        assert (calls["fit_m7"], calls["fit_mle"]) == (0, 1)
 
 
 class TestBlockFailures:
@@ -393,9 +392,9 @@ class TestBlockFailures:
         batch = links_module.maximize_logistic_batch
 
         def corrupting(*args, **kwargs):
-            results = batch(*args, **kwargs)
-            results[1] = dataclasses.replace(results[1], x=np.full_like(results[1].x, np.inf))
-            return results
+            result = batch(*args, **kwargs)
+            result.x[1] = np.inf
+            return result
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", corrupting)
         block = _run_unit(source, source_fit.params, target, config, 50, range(4))
@@ -412,10 +411,10 @@ class TestBlockFailures:
         batch = links_module.maximize_logistic_batch
 
         def corrupting(design, *args, **kwargs):
-            results = batch(design, *args, **kwargs)
+            result = batch(design, *args, **kwargs)
             if design.shape[1] > 50:  # the pooled M7 design
-                results[1] = dataclasses.replace(results[1], x=np.full_like(results[1].x, np.inf))
-            return results
+                result.x[1] = np.inf
+            return result
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", corrupting)
         result = run_experiment(source, target, config)

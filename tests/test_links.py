@@ -169,13 +169,13 @@ class TestTransitionEstimation:
         """Each kind optimizes exactly its declared free-parameter count."""
         learning, _ = draw_split(target, SplitPlan(100, 1, seed=2), 0)
         seen = {}
-        original = links_module.maximize_logistic
+        original = links_module.maximize_logistic_batch
 
         def recording(design, *args, **kwargs):
-            seen["width"] = design.shape[1]
+            seen["width"] = design.shape[-1]
             return original(design, *args, **kwargs)
 
-        monkeypatch.setattr(links_module, "maximize_logistic", recording)
+        monkeypatch.setattr(links_module, "maximize_logistic_batch", recording)
         d = source_fit.params.dimension
         for kind in ALL_TRANSITION_KINDS:
             seen.clear()
@@ -270,6 +270,43 @@ class TestGridProperties:
         for lo, hi in TestNestedLikelihoods.CHAINS:
             if lo in lls and hi in lls:
                 assert lls[lo] <= lls[hi] + 1e-6, (lo, hi)
+
+
+class TestLinkSymmetries:
+    """Reparameterizations of a link problem that must not change its fits."""
+
+    @given(link_problems(), st.data())
+    def test_power_of_two_rescaling_is_bitwise(self, problem, data):
+        """Feature j times 2^k with b_j times 2^-k leaves every product
+        b_j * x_j, so every design and link, bitwise as it was."""
+        source, learning = problem
+        j = data.draw(st.integers(0, source.dimension - 1))
+        k = data.draw(st.integers(-8, 8))
+        features, coefficients = learning.features.copy(), source.coefficients.copy()
+        features[:, j] *= 2.0**k
+        coefficients[j] *= 2.0**-k
+        rescaled_source = LogisticParams(source.intercept, coefficients)
+        rescaled = LabeledSample(features, learning.labels, learning.feature_names)
+        for kind in ALL_TRANSITION_KINDS:
+            want = estimate_transition(kind, source, learning)
+            got = estimate_transition(kind, rescaled_source, rescaled)
+            assert got.transition.shift == want.transition.shift, kind
+            assert got.transition.scale.tobytes() == want.transition.scale.tobytes(), kind
+            assert got.log_likelihood == want.log_likelihood, kind
+
+    @given(link_problems())
+    def test_flipped_labels_and_negated_source_keep_the_likelihood(self, problem):
+        """y -> 1 - y with (b0, b) -> (-b0, -b) maps each link problem onto
+        itself with c -> -c, so each maximum log-likelihood stays. The
+        parameters are not compared: on near-separated M5 and M6 fits they
+        move by up to about 1e-6 within the gradient tolerance."""
+        source, learning = problem
+        negated = LogisticParams(-source.intercept, -source.coefficients)
+        flipped = LabeledSample(learning.features, 1 - learning.labels, learning.feature_names)
+        for kind in ALL_TRANSITION_KINDS:
+            want = estimate_transition(kind, source, learning).log_likelihood
+            got = estimate_transition(kind, negated, flipped).log_likelihood
+            assert abs(got - want) <= 1e-9, kind
 
 
 class TestNestedLikelihoods:
@@ -629,15 +666,6 @@ class TestScoreTarget:
 
 
 class TestTransferSerialization:
-    def test_roundtrip(self, source_fit, target):
-        learning, _ = draw_split(target, SplitPlan(80, 1, seed=17), 0)
-        fit = estimate_transition(LinkModelKind.M4, source_fit.params, learning)
-        again = TransferFit.from_dict(fit.to_dict())
-        assert again.kind is fit.kind
-        assert again.transition.shift == fit.transition.shift
-        np.testing.assert_array_equal(again.transition.scale, fit.transition.scale)
-        assert again.log_likelihood == fit.log_likelihood
-
     def test_nan_log_likelihood_is_not_json(self, source_fit):
         fit = TransferFit(
             kind=LinkModelKind.M7,

@@ -16,7 +16,7 @@ from scorelink import (
     log_likelihood,
     score,
 )
-from scorelink.logistic import NewtonResult, maximize_logistic, maximize_logistic_batch, sigmoid
+from scorelink.logistic import NewtonBatch, maximize_logistic, maximize_logistic_batch, sigmoid
 
 
 def random_instance(rng, n=25, d=4, scale=1.0):
@@ -373,7 +373,7 @@ def reference_newton(design, labels, offset, penalty, center, start, max_iterati
         v, obj = candidate, cand_obj
         trace.append(obj)
         iterations += 1
-    return NewtonResult(v, converged, iterations, gradient_norm, obj, tuple(trace))
+    return NewtonBatch(v, converged, iterations, gradient_norm, obj, tuple(trace))
 
 
 class TestBatchedNewton:
@@ -386,15 +386,20 @@ class TestBatchedNewton:
             batch = maximize_logistic_batch(
                 design.copy(order="K"), labels.copy(), offset.copy(), **settings
             )
-            for b, (kind, got) in enumerate(zip(kinds, batch)):
+            width = batch.trace.shape[1]
+            assert batch.iterations.max() + 1 <= width <= settings["max_iterations"] + 1
+            for b, kind in enumerate(kinds):
                 alone = maximize_logistic(design[b], labels[b], offset[b], **settings)
                 reference = reference_newton(design[b], labels[b], offset[b], **settings)
+                got = (bool(batch.converged[b]), int(batch.iterations[b]))
+                steps = got[1] + 1
                 for want in (alone, reference):
-                    assert_same_bits(got.x, want.x)
-                    assert (got.converged, got.iterations) == (want.converged, want.iterations), kind
-                    assert_same_bits(got.gradient_norm, want.gradient_norm)
-                    assert_same_bits(got.objective, want.objective)
-                    assert_same_bits(got.objective_trace, want.objective_trace)
+                    assert_same_bits(batch.x[b], want.x)
+                    assert got == (want.converged, want.iterations), kind
+                    assert_same_bits(batch.gradient_norm[b], want.gradient_norm)
+                    assert_same_bits(batch.objective[b], want.objective)
+                    assert_same_bits(batch.trace[b, :steps], want.trace)
+                assert np.isnan(batch.trace[b, steps:]).all()
 
     def test_each_exit_and_fallback_is_taken(self, monkeypatch):
         """The special members of the property test do what it says they do."""
@@ -416,12 +421,12 @@ class TestBatchedNewton:
 
         monkeypatch.setattr(np.linalg, "lstsq", recording)
         with np.errstate(all="ignore"):
-            plain, zero, flat, overflow, slow = maximize_logistic_batch(
+            result = maximize_logistic_batch(
                 design, labels, np.zeros((len(kinds), 30)), np.zeros(3), max_iterations=30
             )
-        assert plain.converged and zero.converged
         assert singular and all(singular)  # only the zero-column member fell back
-        assert flat.converged and flat.iterations == 0
-        assert not overflow.converged and overflow.iterations == 0
-        assert overflow.gradient_norm == np.inf
-        assert not slow.converged and slow.iterations == 30
+        # plain, zero-column and flat converge, flat at the start; overflow
+        # stops at the step floor at once and slow at the iteration cap
+        assert result.converged.tolist() == [True, True, True, False, False]
+        assert result.iterations[2:].tolist() == [0, 0, 30]
+        assert result.gradient_norm[3] == np.inf

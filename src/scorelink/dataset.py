@@ -6,6 +6,11 @@ number. The target column (``kredit``) is 1 for creditworthy borrowers and
 0 otherwise; the account-status column (``laufkont``) separates bank
 customers (value > 1) from non-customers (value = 1).
 
+A CSV body is read by numpy's C parser; a body it rejects, or whose table
+fails the label or finiteness check, is read again cell by cell with
+``float()``, which words the error with its row and column and accepts
+the few spellings ``loadtxt`` does not. Both give bitwise the same sample.
+
 Learning/test partitions are drawn with numpy's Philox bit generator
 (philox4x64), a published counter-based PRNG, keyed by
 ``(seed, learning_size, repetition)`` so that every partition is
@@ -16,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -55,6 +62,10 @@ class LabeledSample:
         labels = labels.astype(int, copy=False)
         if len(self.feature_names) != feats.shape[1]:
             raise DataError("feature_names length must equal the column count")
+        # a second copy of the split column would survive the split as a predictor
+        for k, name in enumerate(self.feature_names):
+            if name in self.feature_names[:k]:
+                raise DataError(f"feature name {name!r} appears more than once")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -97,10 +108,14 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     """Load a numeric CSV with a header row into a LabeledSample.
 
     The target column supplies the binary label and is removed from the
-    feature set. Raises DataError for a missing, unreadable or non-UTF-8
-    file, a header naming a column twice, a missing target column, an
-    unparseable or non-finite cell
-    (reported with row and column), or an empty table.
+    feature set. numpy's C parser (``np.loadtxt``) reads the body; when it
+    rejects the body, or its table fails a check, the file is read again
+    row by row with ``float()``. That row loop accepts the cells
+    ``loadtxt`` does not (``1_000``, full-width digits) and words every
+    error. Raises DataError for a missing, unreadable or non-UTF-8 file, a
+    header naming a column twice, a missing target column, an unparseable
+    or non-finite cell (reported with row and column, blank lines
+    counted), a label other than 0 or 1, or an empty table.
     """
     path = Path(path)
     try:
@@ -114,12 +129,14 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
 
 def load_german_credit() -> LabeledSample:
     """Load the packaged numeric German credit file (1000 rows, 21 columns)."""
-    text = resources.files("scorelink").joinpath("data/german.csv").read_text(encoding="utf-8")
-    return _parse_csv(text.splitlines(), DEFAULT_TARGET_COLUMN, "packaged german.csv")
+    data = resources.files("scorelink").joinpath("data/german.csv")
+    with data.open("r", newline="", encoding="utf-8") as f:
+        return _parse_csv(f, DEFAULT_TARGET_COLUMN, "packaged german.csv")
 
 
-def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
-    reader = csv.reader(lines)
+def _parse_csv(f, target_column: str, origin: str) -> LabeledSample:
+    """Parse the open text stream ``f`` (opened with ``newline=""``)."""
+    reader = csv.reader(f)
     try:
         header = next(reader)
     except StopIteration:
@@ -131,7 +148,31 @@ def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
     if target_column not in header:
         raise DataError(f"{origin}: target column {target_column!r} not in header")
     target_idx = header.index(target_column)
+    feature_names = tuple(h for k, h in enumerate(header) if k != target_idx)
 
+    # the row loop rereads a body the C parser rejects, so a stream that
+    # cannot be rewound (a pipe) is read by the row loop alone
+    if f.seekable():
+        with warnings.catch_warnings():  # a header-only file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                table = np.loadtxt(
+                    f, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
+                )
+            except ValueError:
+                table = None
+        if table is not None and table.shape[0] > 0 and table.shape[1] == len(header):
+            labels = table[:, target_idx]
+            features = np.delete(table, target_idx, axis=1)
+            if np.all((labels == 0) | (labels == 1)) and np.isfinite(features).all():
+                return LabeledSample(features, labels.astype(int), feature_names)
+        f.seek(0)
+        next(reader)
+    return _parse_rows(reader, header, target_idx, feature_names, origin)
+
+
+def _parse_rows(reader, header, target_idx, feature_names, origin: str) -> LabeledSample:
+    """The body after the header, one ``float()`` per cell, row by row."""
     rows = []
     labels = []
     blank = []  # reader indices of skipped empty lines
@@ -157,7 +198,6 @@ def _parse_csv(lines, target_column: str, origin: str) -> LabeledSample:
 
     if not rows:
         raise DataError(f"{origin}: empty dataset (header only)")
-    feature_names = tuple(h for k, h in enumerate(header) if k != target_idx)
     features = np.array(rows)
     del rows  # the parsed rows are the peak memory of loading; the mask comes after
     finite = np.isfinite(features)
@@ -185,7 +225,18 @@ def write_csv(
 
 
 def _format_number(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    """Text that reads back as bitwise ``v``.
+
+    Integral values below 2**53 are written as integers, so that codes
+    stay ``2``, not ``2.0``; -0.0 and larger values are written by
+    ``repr``, which keeps the sign of zero and needs no 301-digit integer
+    for 1e300.
+    """
+    v = float(v)
+    negative_zero = v == 0.0 and math.copysign(1.0, v) < 0.0
+    if v.is_integer() and abs(v) < 2**53 and not negative_zero:
+        return str(int(v))
+    return repr(v)
 
 
 def file_sha256(path: str | Path) -> str:

@@ -31,7 +31,8 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -407,8 +408,7 @@ def write_experiment_outputs(
     with open(out_dir / RAW_FILE, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(RepetitionRecord._FIELDS)
-        for rec in result.records:
-            writer.writerow([_cell(getattr(rec, name)) for name in RepetitionRecord._FIELDS])
+        writer.writerows(zip(*_raw_columns(result.records)))
 
     config = result.config
     metadata = {
@@ -441,10 +441,21 @@ def _round3(value: float) -> str:
     return "" if np.isnan(value) else format(value, ".3f")
 
 
-def _cell(value) -> str:
-    # numpy scalars format as Python's: repr(np.float64(0.25)) is "np.float64(0.25)"
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "" if np.isnan(value) else repr(float(value))
-    return str(value)
+def _raw_columns(records) -> list[list[str]]:
+    """The raw-records CSV columns as text, each formatted by its declared type.
+
+    numpy scalars are converted to Python's first, because
+    repr(np.float64(0.25)) is "np.float64(0.25)". Flags are written as 0/1
+    and NaN as an empty cell.
+    """
+    types = {f.name: f.type for f in fields(RepetitionRecord)}
+    columns = []
+    for name in RepetitionRecord._FIELDS:
+        values = map(attrgetter(name), records)
+        if types[name] == "float":
+            columns.append(["" if v != v else repr(v) for v in map(float, values)])
+        elif types[name] == "str":
+            columns.append(list(map(str, values)))
+        else:  # int and bool
+            columns.append(list(map(str, map(int, values))))
+    return columns

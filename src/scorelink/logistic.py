@@ -255,7 +255,9 @@ def maximize_logistic_batch(
     gradient if that fails, and takes the gradient when the result is not
     an ascent direction; step-halving then enforces the Armijo condition.
     The result holds member b's fields in row b, each bitwise those of the
-    batch holding member b alone.
+    batch holding member b alone. The linear predictor computed for the
+    objective at the accepted point is carried into the next iteration's
+    gradient, so each Newton point costs one product with the design.
 
     Finished members are compacted out of ``design``, ``labels`` and
     ``offset`` in place, so with B > 1 these must be writable arrays
@@ -269,13 +271,14 @@ def maximize_logistic_batch(
     running = (design, labels, offset)  # the rows of the members still running
 
     def objective(vec):
+        """The objective at ``vec`` and its linear predictor."""
         x, y, off = running
         eta = off + _matvec(x, vec)
-        return _log_likelihood(y, eta) - 0.5 * _dot(penalty, (vec - center) ** 2)
+        return _log_likelihood(y, eta) - 0.5 * _dot(penalty, (vec - center) ** 2), eta
 
     members = np.arange(batch)  # the member whose problem each row holds
     v = np.repeat(start[None], batch, axis=0)
-    obj = objective(v)
+    obj, eta = objective(v)
     trace = [obj]  # then a (B,) column per line search, NaN where no step was taken
     out = NewtonBatch(
         np.empty((batch, p)),
@@ -298,16 +301,16 @@ def maximize_logistic_batch(
 
     def drop(rows):
         """Compact the members not in ``rows`` into the leading rows."""
-        nonlocal running, members, v, obj
+        nonlocal running, members, v, obj, eta
         keep = np.flatnonzero(~rows)
         _compact(keep, design, labels, offset)
         running = (design[: len(keep)], labels[: len(keep)], offset[: len(keep)])
-        members, v, obj = members[keep], v[keep], obj[keep]
+        members, v, obj, eta = members[keep], v[keep], obj[keep], eta[keep]
         return keep
 
     for iteration in range(max_iterations + 1):
-        x, y, off = running
-        grad, prob = _gradient(x, y, off + _matvec(x, v))
+        x, y, _ = running
+        grad, prob = _gradient(x, y, eta)
         grad -= penalty * (v - center)
         squared_norm = _dot(grad, grad)
         gradient_norm = np.sqrt(squared_norm)
@@ -321,7 +324,7 @@ def maximize_logistic_batch(
             keep = drop(converged)
             grad, prob = grad[keep], prob[keep]
             squared_norm, gradient_norm = squared_norm[keep], gradient_norm[keep]
-            x, y, off = running
+            x, y, _ = running
 
         step = _newton_steps(_information(x, prob) + penalty_hessian, grad)
         slope = _dot(grad, step)
@@ -333,10 +336,10 @@ def maximize_logistic_batch(
         # Armijo step-halving, t = 1, 1/2, ... down to _MIN_STEP per member
         noise = _NOISE_EPS * (1.0 + np.abs(obj))
         candidate = v + step
-        cand_obj = objective(candidate)
+        cand_obj, cand_eta = objective(candidate)
         accepted = cand_obj >= obj + _ARMIJO * slope - noise
         if accepted.all():
-            v, obj = candidate, cand_obj
+            v, obj, eta = candidate, cand_obj, cand_eta
         else:
             t = np.ones(len(v))
             searching = ~accepted
@@ -348,14 +351,16 @@ def maximize_logistic_batch(
                 # every row is evaluated: selecting the searching rows would
                 # copy their designs, and an accepted row's value is not used
                 trial = v + t[:, None] * step
-                trial_obj = objective(trial)
+                trial_obj, trial_eta = objective(trial)
                 accept = searching & (trial_obj >= obj + _ARMIJO * t * slope - noise)
                 candidate[accept] = trial[accept]
                 cand_obj[accept] = trial_obj[accept]
+                cand_eta[accept] = trial_eta[accept]
                 accepted |= accept
                 searching &= ~accept
             v = np.where(accepted[:, None], candidate, v)
             obj = np.where(accepted, cand_obj, obj)
+            eta = np.where(accepted[:, None], cand_eta, eta)
         column = np.full(batch, np.nan)
         column[members[accepted]] = obj[accepted]
         trace.append(column)

@@ -1,5 +1,13 @@
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scorelink import (
     DataError,
@@ -9,7 +17,8 @@ from scorelink import (
     load_csv,
     split_by_account_status,
 )
-from scorelink.dataset import write_csv
+from scorelink import dataset as dataset_module
+from scorelink.dataset import _format_number, _parse_csv, write_csv
 
 
 def write_lines(tmp_path, name, lines):
@@ -85,6 +94,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="0 or 1"):
             LabeledSample(np.zeros((2, 1)), [0.6, 1.0], ("a",))
 
+    def test_duplicate_feature_name_rejected(self):
+        """A sample built in code cannot name a column twice either: a
+        second split column would survive the split as a predictor."""
+        with pytest.raises(DataError, match="feature name 'laufkont' appears more than once"):
+            LabeledSample(np.ones((2, 3)), [0, 1], ("laufkont", "laufkont", "x"))
+
     def test_write_read_roundtrip(self, tmp_path, target):
         path = tmp_path / "target.csv"
         write_csv(target, path)
@@ -92,6 +107,138 @@ class TestLoadCsv:
         np.testing.assert_array_equal(again.features, target.features)
         np.testing.assert_array_equal(again.labels, target.labels)
         assert again.feature_names == target.feature_names
+
+
+class _Unseekable(io.StringIO):
+    """A stream that cannot be rewound, which _parse_csv reads row by row."""
+
+    def seekable(self):
+        return False
+
+
+def row_loop(text: str) -> LabeledSample:
+    """The sample of the float() row loop alone."""
+    return _parse_csv(_Unseekable(text, newline=""), "kredit", "text")
+
+
+def assert_bitwise(sample, expected):
+    assert sample.features.shape == expected.features.shape
+    np.testing.assert_array_equal(
+        sample.features.view(np.int64), expected.features.view(np.int64)
+    )
+    np.testing.assert_array_equal(sample.labels, expected.labels)
+    assert sample.labels.dtype == expected.labels.dtype
+    assert sample.feature_names == expected.feature_names
+
+
+class TestParsePaths:
+    """numpy's C parser reads a CSV body; the float() row loop rereads any
+    body the C parser rejects or whose table fails a check. Each case is
+    pinned to what the row loop alone gives."""
+
+    @pytest.mark.parametrize(
+        "text, features",
+        [
+            ("a,b,kredit\n1,2,1\n\n3,4,0\n", [[1, 2], [3, 4]]),
+            ("a,b,kredit\n1,2,1\n3,4,0\n\n\n", [[1, 2], [3, 4]]),
+            ('a,b,kredit\n"1",2,"1"\n3,"4",0\n', [[1, 2], [3, 4]]),
+            ("a,b,kredit\n 1 ,\t2\t,1\n3,4 ,0\n", [[1, 2], [3, 4]]),
+            ("a,b,kredit\n+1,.5,1\n5.,4,0\n", [[1, 0.5], [5, 4]]),
+            ("a,b,kredit\r\n1,2,1\r\n3,4,0\r\n", [[1, 2], [3, 4]]),
+            ("a,b,kredit\r1,2,1\r3,4,0\r", [[1, 2], [3, 4]]),
+            ("a,b,kredit\n1,2,1\n3,4,0", [[1, 2], [3, 4]]),
+            ("a,b,kredit\n1_000,2,1\n3,4,0\n", [[1000, 2], [3, 4]]),
+            ("a,b,kredit\n\uff11\uff12,2,1\n3,4,0\n", [[12, 2], [3, 4]]),
+        ],
+        ids=["blank-line", "blank-lines-at-end", "quoted", "space-and-tab", "signs-and-dots",
+             "crlf", "cr-only", "no-final-newline", "underscore", "full-width-digits"],
+    )
+    def test_accepted(self, tmp_path, text, features):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(text.encode())
+        sample = load_csv(path)
+        np.testing.assert_array_equal(sample.features, features)
+        np.testing.assert_array_equal(sample.labels, [1, 0])
+        assert_bitwise(sample, row_loop(text))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2,1\n   \n3,4,0\n", "row 3 has 1 cells, expected 3"),
+            ("#1,2,1\n", "cell at row 2, column 'a' is not numeric: '#1'"),
+            ("1 # c,2,1\n", "cell at row 2, column 'a' is not numeric: '1 # c'"),
+            ("1d5,2,1\n", "cell at row 2, column 'a' is not numeric: '1d5'"),
+            ("1,0x10,1\n", "cell at row 2, column 'b' is not numeric: '0x10'"),
+            (",2,1\n", "cell at row 2, column 'a' is not numeric: ''"),
+            ("1, ,1\n", "cell at row 2, column 'b' is not numeric: ' '"),
+            ("1,2,1,\n", "row 2 has 4 cells, expected 3"),
+            ('"1,5",2,1\n', "cell at row 2, column 'a' is not numeric: '1,5'"),
+            ("1,2,1\n1,2\n", "row 3 has 2 cells, expected 3"),
+            ("1,2,1\n\n1e400,2,0\n", "cell at row 4, column 'a' is not finite: inf"),
+            ("1,Infinity,1\n", "cell at row 2, column 'b' is not finite: inf"),
+            ("1,2,1\n1,2,2\n", "row 3: label must be 0 or 1, got 2.0"),
+        ],
+        ids=["whitespace-line", "hash", "inline-hash", "fortran-exponent", "hex", "empty-cell",
+             "space-cell", "trailing-comma", "quoted-comma", "short-row", "overflow",
+             "infinity", "label-2"],
+    )
+    def test_rejected_with_row_loop_message(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("a,b,kredit\n" + body).encode())
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+        with pytest.raises(DataError) as excinfo:
+            row_loop("a,b,kredit\n" + body)
+        assert str(excinfo.value) == f"text: {message}"
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"a,b,kredit\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="empty dataset \\(header only\\)"):
+                load_csv(path)
+        assert caught == []
+
+    def test_german_is_read_by_the_c_parser(self, german, monkeypatch):
+        """The packaged file needs no row loop, and the C parser's sample is
+        bitwise the row loop's."""
+        text = (Path(dataset_module.__file__).parent / "data" / "german.csv").read_text("utf-8")
+        expected = row_loop(text)
+        monkeypatch.setattr(dataset_module, "_parse_rows", None)
+        assert_bitwise(dataset_module.load_german_credit(), expected)
+        assert_bitwise(german, expected)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "value, text",
+        [(2.0, "2"), (-3.0, "-3"), (0.0, "0"), (-0.0, "-0.0"), (0.5, "0.5"),
+         (2.0**53 - 1, "9007199254740991"), (2.0**53, "9007199254740992.0"), (1e300, "1e+300")],
+    )
+    def test_format_number(self, value, text):
+        assert _format_number(value) == text
+
+    @settings(max_examples=60)
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 6), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+            | st.sampled_from([-0.0, 0.0, 5e-324, -2.0**53, 2.0**60, 1e300, -1.7976931348623157e308]),
+        ),
+        st.data(),
+    )
+    def test_write_load_roundtrip_is_bitwise(self, features, data):
+        labels = data.draw(hnp.arrays(int, features.shape[0], elements=st.integers(0, 1)))
+        names = tuple(f"x{j}" for j in range(features.shape[1]))
+        sample = LabeledSample(features, labels, names)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sample.csv"
+            write_csv(sample, path)
+            again = load_csv(path)
+        assert_bitwise(again, sample)
 
 
 class TestSplitByAccountStatus:

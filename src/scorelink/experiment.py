@@ -171,10 +171,11 @@ def _run_unit(
     """Records of one block of repetitions at one learning size.
 
     M2-M6 are fitted for the whole block by one batched Newton call per
-    model; M7, a refit on the pooled source rows, by one call per chunk of
-    the block within the cell budget. The fits come back as arrays, and
-    all of them are scored, tallied and turned into rates in array passes
-    (:func:`_block_counts`, :func:`scorelink.evaluation._rates`).
+    model; M7, a refit on the pooled source rows started at the source
+    fit, by one call per chunk of the block within the cell budget. The
+    fits come back as arrays, and all of them are scored, tallied and
+    turned into rates in array passes (:func:`_block_counts`,
+    :func:`scorelink.evaluation._rates`).
     """
     plan = SplitPlan(learning_size, config.repetitions, config.seed)
     rows = [split_rows(target, plan, r) for r in repetitions]
@@ -183,7 +184,7 @@ def _run_unit(
     features = np.take(target.features, learning_rows, axis=0)
     labels = np.take(target.labels, learning_rows, axis=0)
     blocks = [
-        _m7_block(source_sample, features, labels, config.fit)
+        _m7_block(source_sample, source_params, features, labels, config.fit)
         if kind is LinkModelKind.M7
         else _transition_block(kind, source_params, features, labels, config.fit)
         for kind in config.models

@@ -24,10 +24,12 @@ one common lambda | one L_j per coefficient}, written down once as
 their free parameters, holding the source fit fixed; estimation runs on
 the reparameterized design (columns ``b_j * x_j``) so the free parameters
 enter as ordinary logistic coefficients. M7 ignores the link structure
-and refits on the pooled rows from zero. The link optimizations
-warm-start at the identity link and share the Newton contract of
-:func:`scorelink.logistic.fit_mle`, with the ridge applied to deviations
-from the identity: c^2, (lambda - 1)^2, sum_j (L_j - 1)^2.
+and refits on the pooled rows, warm-started at the source fit: the MLE of
+all but the n learning rows, so a few Newton steps reach the pooled
+optimum. The link optimizations warm-start at the identity link and share
+the Newton contract of :func:`scorelink.logistic.fit_mle`, with the ridge
+applied to deviations from the identity: c^2, (lambda - 1)^2,
+sum_j (L_j - 1)^2.
 
 Every kind also fits a block of equal-size learning samples, given as
 the (B, n, d) features and (B, n) labels the sweep holds, through the
@@ -378,38 +380,45 @@ def fit_m7(
     source_sample: LabeledSample,
     learning: LabeledSample,
     config: FitConfig = FitConfig(),
+    start: LogisticParams | None = None,
 ) -> TransferFit:
-    """Refit from scratch on all source rows pooled with the learning rows.
+    """Refit on all source rows pooled with the learning rows.
 
-    The block of one of the sweep's pooled refits; a fit with no finite
-    answer raises NumericalError.
+    Newton starts at ``start``, or at zero when it is None. The sweep
+    starts at the source fit, ``fit_mle(source_sample, config).params``;
+    given that start, the result is bitwise the sweep's, the block of one
+    of its pooled refits. Another start moves only the last bits of a
+    converged fit. A fit with no finite answer raises NumericalError.
     """
-    block = _m7_block(source_sample, learning.features[None], learning.labels[None], config)
+    if start is None:
+        start = LogisticParams(0.0, np.zeros(source_sample.dimension))
+    block = _m7_block(
+        source_sample, start, learning.features[None], learning.labels[None], config
+    )
     (fit,) = block.fits()
     if isinstance(fit, NumericalError):
         raise fit
     return fit
 
 
-def _m7_block(source_sample, features, labels, config) -> _Block:
+def _m7_block(source_sample, start, features, labels, config) -> _Block:
     """M7 fitted on each of a block of equal-size learning samples,
-    ``features`` (B, n, d) and ``labels`` (B, n).
+    ``features`` (B, n, d) and ``labels`` (B, n), every Newton run
+    starting at the parameters ``start``; the sweep passes the source fit.
 
     The members go through the batched Newton engine in near-equal chunks,
     each within ``_BLOCK_CELLS`` cells of its stacked pooled design, and
-    each fit is bitwise that of :func:`fit_m7` on its sample alone. A
-    member with no finite answer (a single class at ridge 0, or fitted
-    parameters that are not finite) gets its NumericalError in place of a
-    fit.
+    each fit is bitwise that of :func:`fit_m7` on its sample alone from
+    the same start. A member with no finite answer (a single class at
+    ridge 0, or fitted parameters that are not finite) gets its
+    NumericalError in place of a fit.
     """
     d = source_sample.dimension
     if d < 1:
         raise ValueError("sample must have at least one feature")
-    if features.shape[-1] != d:
-        raise ValueError(
-            f"source dimension {d} does not match "
-            f"learning dimension {features.shape[-1]}"
-        )
+    for name, dimension in (("learning", features.shape[-1]), ("start", start.dimension)):
+        if dimension != d:
+            raise ValueError(f"source dimension {d} does not match {name} dimension {dimension}")
 
     count, n = labels.shape
     errors = _class_errors(
@@ -420,14 +429,15 @@ def _m7_block(source_sample, features, labels, config) -> _Block:
     converged = np.zeros(count, dtype=bool)
     if fitted:
         x[fitted], converged[fitted] = _pooled_fits(
-            source_sample, features, labels, fitted, config
+            source_sample, start, features, labels, fitted, config
         )
     return _finish_block(LinkModelKind.M7, features, labels, errors, x[:, 0], x[:, 1:], converged)
 
 
-def _pooled_fits(source_sample, features, labels, fitted, config):
+def _pooled_fits(source_sample, start, features, labels, fitted, config):
     """The solutions and convergence flags of the pooled refits of the
-    members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``.
+    members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``, each
+    starting at ``start``'s (b0, b).
 
     The pooled design ``[1, X]``, labels and offsets are allocated once per
     block, with the intercept column and the source rows written in once;
@@ -447,6 +457,7 @@ def _pooled_fits(source_sample, features, labels, fitted, config):
     offset = np.zeros(design.shape[:2])
     newton = dict(
         penalty=np.concatenate(([0.0], np.full(d, config.ridge))),  # intercept free
+        start=np.concatenate(([start.intercept], start.coefficients)),
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
     )

@@ -250,10 +250,14 @@ def maximize_logistic_batch(
     (B, n); ``penalty``, ``center`` and ``start`` (p,) are shared. Each
     member is its own optimization. It stops once its gradient norm is
     within ``gradient_tolerance``, when its line search reaches the step
-    floor, or after ``max_iterations`` steps. A step solves the Newton
-    system by Cholesky, falling back to least squares and then to the
-    gradient if that fails, and takes the gradient when the result is not
-    an ascent direction; step-halving then enforces the Armijo condition.
+    floor, or after ``max_iterations`` steps. Every member starts at
+    ``start`` (zero by default); a start near the optimum, such as a fit
+    of most of the same rows, saves iterations and moves only the last
+    bits of the answer. A step solves the Newton system once, when a
+    Cholesky factorization shows the information positive definite,
+    falling back to least squares and then to the gradient if that fails,
+    and takes the gradient when the result is not an ascent direction;
+    step-halving then enforces the Armijo condition.
     The result holds member b's fields in row b, each bitwise those of the
     batch holding member b alone. The linear predictor computed for the
     objective at the accepted point is carried into the next iteration's
@@ -385,15 +389,16 @@ def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
 def _newton_steps(information: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve information @ step = grad for each member of a stack.
 
-    A member whose Cholesky factorization, or a solve with its factor,
-    fails takes a least-squares step, or the gradient if that fails too.
-    A batched call fails for the whole stack, so the stack is halved until
-    each failing member is alone.
+    The Cholesky factorization only gates the solve: it succeeds when
+    every member's information is positive definite, and then one LU
+    solve of the stack gives the steps. A member whose factorization, or
+    solve, fails takes a least-squares step, or the gradient if that fails
+    too. A batched call fails for the whole stack, so the stack is halved
+    until each failing member is alone.
     """
     try:
-        factor = np.linalg.cholesky(information)
-        half = np.linalg.solve(factor, grad[..., None])
-        return np.linalg.solve(np.swapaxes(factor, -1, -2), half)[..., 0]
+        np.linalg.cholesky(information)
+        return np.linalg.solve(information, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     if len(grad) > 1:

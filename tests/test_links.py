@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scorelink.experiment as experiment_module
 import scorelink.links as links_module
+import scorelink.logistic as logistic_module
 from scorelink import (
     DataError,
     NumericalError,
@@ -23,7 +25,17 @@ from scorelink import (
     log_likelihood,
     score,
 )
-from scorelink.dataset import SplitPlan, draw_split
+from scorelink.dataset import SplitPlan, draw_split, split_rows
+from scorelink.experiment import ExperimentConfig
+from scorelink.gaussian import (
+    AffineLink,
+    GaussianClassParams,
+    MixtureSpec,
+    apply_link,
+    gaussian_to_logistic,
+    random_homoscedastic_pair,
+    sample_mixture,
+)
 
 ALL_TRANSITION_KINDS = [
     LinkModelKind.M2,
@@ -45,11 +57,12 @@ def synthetic_sample(params, n, rng):
 
 def block_fits(kind, source, source_sample, learnings, config=FitConfig()):
     """The fits of ``kind`` on the block of features and labels stacked
-    from ``learnings``, a TransferFit or NumericalError per member."""
+    from ``learnings``, a TransferFit or NumericalError per member; M7's
+    pooled refits start at ``source``, as the sweep's start at its fit."""
     features = np.stack([learning.features for learning in learnings])
     labels = np.stack([learning.labels for learning in learnings])
     if kind is LinkModelKind.M7:
-        return links_module._m7_block(source_sample, features, labels, config).fits()
+        return links_module._m7_block(source_sample, source, features, labels, config).fits()
     return links_module._transition_block(kind, source, features, labels, config).fits()
 
 
@@ -309,6 +322,99 @@ class TestLinkSymmetries:
             assert abs(got - want) <= 1e-9, kind
 
 
+# chi-square 95% quantiles by degrees of freedom
+CHI2_95 = {1: 3.841, 2: 5.991, 3: 7.815, 4: 9.488, 5: 11.070, 6: 12.592}
+
+
+def at_separation(spec, distance):
+    """``spec`` with its class means moved along their difference, about
+    their midpoint, to Mahalanobis distance ``distance``."""
+    one, two = spec.class_one, spec.class_two
+    gap = one.mean - two.mean
+    factor = distance / np.sqrt(gap @ np.linalg.solve(one.covariance, gap)) / 2.0
+    middle = (one.mean + two.mean) / 2.0
+    return MixtureSpec(
+        GaussianClassParams(middle + factor * gap, one.covariance),
+        GaussianClassParams(middle - factor * gap, two.covariance),
+        spec.proportions,
+    )
+
+
+def true_links(spec, link, rng):
+    """An affine feature link x* = L x + alpha, as (L, alpha), under which
+    each of M1-M6 is exactly the true model of the target posterior:
+    beta*_j = beta_j / L_j and c = -alpha' beta*."""
+    d = spec.dimension
+    common = np.full(d, rng.uniform(0.5, 2.0))
+    alpha = link.offsets[0]
+    target = gaussian_to_logistic(spec).coefficients / link.scale
+    centred = alpha - (alpha @ target) / (target @ target) * target  # alpha' beta* = 0: c = 0
+    return {
+        LinkModelKind.M1: (np.ones(d), np.zeros(d)),
+        LinkModelKind.M2: (common, np.zeros(d)),
+        LinkModelKind.M3: (np.ones(d), alpha),
+        LinkModelKind.M4: (common, alpha),
+        LinkModelKind.M5: (link.scale, centred),
+        LinkModelKind.M6: (link.scale, alpha),
+    }
+
+
+def nests(kind, truth):
+    """Whether the link family of ``kind`` contains that of ``truth``."""
+    order = {"fixed": 0, "common": 1, "per-coefficient": 2}
+    (shift, scale), (true_shift, true_scale) = links_module._GRID[kind], links_module._GRID[truth]
+    return shift >= true_shift and order[scale] >= order[true_scale]
+
+
+class TestWellSpecifiedTruth:
+    def test_likelihood_ratio_size(self):
+        """With the exact source parameters and a target whose posterior is
+        linked to the source's as one model Mk says, every model that nests
+        Mk is well specified, so by Wilks' theorem 2(LL_M6 - LL_Mj) is
+        about chi-square with the difference of free parameters as degrees
+        of freedom. Over 400 samples of n = 200, the test at level 0.05
+        rejects in 0.05 +- 0.033 of them (3 binomial standard errors).
+
+        The classes are set 2 Mahalanobis units apart, a Bayes error near
+        16%. random_homoscedastic_pair draws them 1.6 to 4.1 units apart
+        over seeds 0-2, and at 3.7 units (seed 1) n = 200 is too few for the
+        chi-square limit: sizes reach 0.18, while n = 2,000 brings every
+        size back to 0.03-0.06. The power against models that do not nest
+        the truth is printed, not asserted."""
+        rng = np.random.default_rng(0)
+        spec, link = random_homoscedastic_pair(5, rng)
+        spec = at_separation(spec, 2.0)
+        source = gaussian_to_logistic(spec)
+        full = LinkModelKind.M6
+        kinds = [kind for kind in LinkModelKind if kind not in (LinkModelKind.M7, full)]
+        width = full.free_parameter_count(spec.dimension)
+        for t, (truth, (scale, offset)) in enumerate(true_links(spec, link, rng).items()):
+            target = apply_link(spec, AffineLink.common(scale, offset))
+            samples = [sample_mixture(target, 200, 400 * t + b) for b in range(400)]
+            features = np.stack([sample.features for sample in samples])
+            labels = np.stack([sample.labels for sample in samples])
+            lls = {}
+            for kind in (*kinds, full):
+                block = links_module._transition_block(
+                    kind, source, features, labels, FitConfig(ridge=0.0)
+                )
+                assert all(block.converged)
+                lls[kind] = np.array(block.log_likelihoods)
+            rates = {
+                kind: np.mean(
+                    2.0 * (lls[full] - lls[kind])
+                    > CHI2_95[width - kind.free_parameter_count(spec.dimension)]
+                )
+                for kind in kinds
+            }
+            print(f"{truth.value} true, rejected at 0.05:",
+                  ", ".join(f"{k.value}{'' if nests(k, truth) else ' (power)'} {r:.3f}"
+                            for k, r in rates.items()))
+            for kind, rate in rates.items():
+                if nests(kind, truth):
+                    assert abs(rate - 0.05) <= 0.033, (truth, kind, rate)
+
+
 class TestNestedLikelihoods:
     CHAINS = [
         ("M1", "M2"), ("M2", "M4"), ("M4", "M6"),
@@ -408,10 +514,15 @@ def zero_first_column(sample):
     return LabeledSample(features, sample.labels, sample.feature_names)
 
 
+def zero_start(dimension):
+    return LogisticParams(0.0, np.zeros(dimension))
+
+
 @st.composite
 def m7_blocks(draw):
-    """A source sample, a block of equal-size learning samples, a fit
-    config and a cell budget that holds 1 to 4 pooled members per chunk.
+    """A source sample, a Newton start (zero, or the parameters the samples
+    are drawn from), a block of equal-size learning samples, a fit config
+    and a cell budget that holds 1 to 4 pooled members per chunk.
 
     Block sizes run past the chunk size without being multiples of it.
     When some members are drawn with a zero feature, feature 0 is zero in
@@ -423,6 +534,7 @@ def m7_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     truth = LogisticParams(rng.normal(scale=0.5), rng.normal(size=d))
     source = synthetic_sample(truth, draw(st.integers(40, 120)), rng)
+    start = truth if draw(st.booleans()) else zero_start(d)
     n = draw(st.integers(5, 30))
     learnings = [synthetic_sample(truth, n, rng) for _ in range(draw(st.integers(1, 9)))]
     zero = draw(st.lists(st.booleans(), min_size=len(learnings), max_size=len(learnings)))
@@ -433,17 +545,28 @@ def m7_blocks(draw):
         ridge = 0.0
     member_cells = (source.n_records + n) * (d + 1)
     budget = draw(st.integers(1, 4)) * member_cells + draw(st.integers(0, member_cells - 1))
-    return source, learnings, FitConfig(ridge=ridge), budget
+    return source, start, learnings, FitConfig(ridge=ridge), budget
 
 
-def pooled_fit_mle(source, learning, config):
-    """The pooled refit as a plain fit_mle on the stacked rows."""
+def pooled_fit(source, learning, config, start):
+    """The pooled refit as fit_mle's one-problem Newton run on the stacked
+    rows, started at ``start``: its parameters and convergence flag."""
     pooled = LabeledSample(
         np.vstack([source.features, learning.features]),
         np.concatenate([source.labels, learning.labels]),
         learning.feature_names,
     )
-    return fit_mle(pooled, config)
+    design, penalty = logistic_module._intercept_design(pooled, config.ridge)
+    result = logistic_module.maximize_logistic_batch(
+        design[None],
+        pooled.labels[None].astype(float),
+        np.zeros((1, pooled.n_records)),
+        penalty,
+        start=np.concatenate(([start.intercept], start.coefficients)),
+        max_iterations=config.max_iterations,
+        gradient_tolerance=config.gradient_tolerance,
+    )
+    return LogisticParams(result.x[0, 0], result.x[0, 1:]), bool(result.converged[0])
 
 
 def params_bits(params):
@@ -455,24 +578,27 @@ class TestM7Blocks:
     @given(m7_blocks())
     def test_member_equals_fit_m7_alone(self, block):
         """Every member of a chunked block is bitwise fit_m7 on its sample
-        alone, and bitwise fit_mle on the stacked pooled rows."""
-        source, learnings, config, budget = block
+        alone from the same start, and bitwise the one-problem Newton run on
+        the stacked pooled rows from that start."""
+        source, start, learnings, config, budget = block
         with mock.patch.object(links_module, "_BLOCK_CELLS", budget):
-            fits = block_fits(LinkModelKind.M7, None, source, learnings, config)
+            fits = block_fits(LinkModelKind.M7, start, source, learnings, config)
         for fit, learning in zip(fits, learnings):
-            alone = fit_m7(source, learning, config)
-            report = pooled_fit_mle(source, learning, config)
+            alone = fit_m7(source, learning, config, start=start)
+            params, converged = pooled_fit(source, learning, config, start)
             assert params_bits(fit.target_params) == params_bits(alone.target_params)
-            assert params_bits(fit.target_params) == params_bits(report.params)
+            assert params_bits(fit.target_params) == params_bits(params)
             assert (fit.converged, fit.log_likelihood) == (alone.converged, alone.log_likelihood)
-            assert fit.converged == report.converged
-            assert fit.log_likelihood == log_likelihood(report.params, learning)
+            assert fit.converged == converged
+            assert fit.log_likelihood == log_likelihood(params, learning)
 
     def test_zero_column_member_takes_least_squares(self, rng, monkeypatch):
         truth = LogisticParams(0.3, np.array([0.8, -1.0]))
         source = zero_first_column(synthetic_sample(truth, 80, rng))
         learnings = [synthetic_sample(truth, 20, rng) for _ in range(3)]
         learnings[1] = zero_first_column(learnings[1])
+        config = FitConfig(ridge=0.0)
+        start = fit_mle(source, config).params  # coefficient 0 on the zero column
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -481,8 +607,7 @@ class TestM7Blocks:
             return lstsq(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
-        config = FitConfig(ridge=0.0)
-        fits = block_fits(LinkModelKind.M7, None, source, learnings, config)
+        fits = block_fits(LinkModelKind.M7, start, source, learnings, config)
         assert calls and all(shape == (3, 3) for shape in calls)
         assert fits[1].target_params.coefficients[0] == 0.0
         assert all(fit.converged for fit in fits)
@@ -494,13 +619,58 @@ class TestM7Blocks:
             LabeledSample(rng.normal(size=(6, 1)), labels, names)
             for labels in ([0, 1, 0, 1, 0, 0], [0] * 6, [1, 1, 0, 0, 1, 0])
         ]
-        fits = block_fits(LinkModelKind.M7, None, source, learnings, FitConfig(ridge=0.0))
+        # a single-class source at ridge 0 has no fit, so M7 starts at zero
+        fits = block_fits(LinkModelKind.M7, zero_start(1), source, learnings, FitConfig(ridge=0.0))
         assert isinstance(fits[1], NumericalError)
         for i in (0, 2):
             alone = fit_m7(source, learnings[i], FitConfig(ridge=0.0))
             assert params_bits(fits[i].target_params) == params_bits(alone.target_params)
         with pytest.raises(NumericalError, match="single class"):
             fit_m7(source, learnings[1], FitConfig(ridge=0.0))
+
+
+class TestM7Start:
+    def test_start_moves_no_count_and_saves_iterations(
+        self, source, source_fit, target, monkeypatch
+    ):
+        """On the German sweep's blocks at n = 50 and 200, M7 from zero and
+        from the source fit reach the same optimum: equal confusion counts on
+        every test split and log-likelihoods within 1e-9. The warm start
+        takes strictly fewer Newton member-iterations in total, counted from
+        the engine's NewtonBatch arrays."""
+        engine, iterations = links_module.maximize_logistic_batch, []
+
+        def counting(*args, **kwargs):
+            result = engine(*args, **kwargs)
+            iterations.append(int(result.iterations.sum()))
+            return result
+
+        monkeypatch.setattr(links_module, "maximize_logistic_batch", counting)
+        totals = {}
+        for n in (50, 200):
+            plan = SplitPlan(n, 50, seed=0)
+            rows = [split_rows(target, plan, r) for r in range(plan.repetitions)]
+            features = np.take(target.features, [learning for learning, _ in rows], axis=0)
+            labels = np.take(target.labels, [learning for learning, _ in rows], axis=0)
+            blocks = []
+            for name, start in (("zero", zero_start(source.dimension)), ("warm", source_fit.params)):
+                iterations.clear()
+                blocks.append(links_module._m7_block(source, start, features, labels, FitConfig()))
+                totals[n, name] = sum(iterations)
+            assert all(block.converged == [True] * plan.repetitions for block in blocks)
+            counts = experiment_module._block_counts(
+                target,
+                np.array([test for _, test in rows]),
+                np.stack([block.intercepts for block in blocks]),
+                np.stack([block.coefficients for block in blocks]),
+                ExperimentConfig().threshold,
+            )
+            np.testing.assert_array_equal(counts[:, 0], counts[:, 1])
+            gap = np.subtract(*(block.log_likelihoods for block in blocks))
+            assert np.abs(gap).max() <= 1e-9
+        print("M7 member-iterations, zero start -> source fit:", totals)
+        for n in (50, 200):
+            assert totals[n, "warm"] < totals[n, "zero"]
 
 
 @st.composite
@@ -541,7 +711,7 @@ class TestBlockUnpacking:
 
 
 # sha256 of the M1-M7 block fits of golden_blocks(), as fits_digest hashes them
-BLOCK_FITS_SHA256 = "e44a13a7072fa6a3de8d82330d6528784afbd83481cdaa52c79d62907e8c7616"
+BLOCK_FITS_SHA256 = "44b40e167cb10daa7111fd297f84f4e4a66e191bd629fe9a7fbced7b68d321c1"
 # M7 chunks of two members: the pooled design of a member has (40 + 20) x (d + 1) cells
 GOLDEN_M7_CELLS = 2 * (40 + 20)
 
@@ -589,10 +759,11 @@ class TestBlockDigest:
     def test_block_fits_are_pinned(self, monkeypatch):
         """The M1-M7 block fits of golden_blocks() hash to BLOCK_FITS_SHA256.
 
-        The digest was computed before the block functions took arrays and
-        pins every bit of these fits. Only a deliberate re-baseline of the
-        fits, such as warm-starting M7 at the source fit (ROADMAP item 3),
-        updates it, and says so in CHANGES.md.
+        The digest pins every bit of these fits, M7's started at the
+        block's source parameters. It was re-pinned when M7 began at the
+        source fit and a Newton step took one linear solve (ROADMAP item
+        4); only such a deliberate numerical re-baseline updates it, and
+        says so in CHANGES.md.
         """
         digest = hashlib.sha256()
         for source, source_sample, learnings, config in golden_blocks():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scorelink.logistic as logistic_module
 from scorelink import (
     FitConfig,
     LabeledSample,
@@ -333,8 +334,8 @@ def reference_newton(design, labels, offset, penalty, center, start, max_iterati
 
     def solve(hess, grad):
         try:
-            factor = np.linalg.cholesky(hess)
-            return np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+            np.linalg.cholesky(hess)  # positive definite, or the fallbacks
+            return np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             pass
         try:
@@ -430,3 +431,49 @@ class TestBatchedNewton:
         assert result.converged.tolist() == [True, True, True, False, False]
         assert result.iterations[2:].tolist() == [0, 0, 30]
         assert result.gradient_norm[3] == np.inf
+
+
+def information_stack(rng, members, p):
+    """Positive-definite information matrices of logistic designs, and gradients."""
+    design = rng.normal(size=(members, 3 * p, p))
+    prob = rng.uniform(0.1, 0.9, size=(members, 3 * p))
+    information = np.swapaxes(design * (prob * (1.0 - prob))[..., None], -1, -2) @ design
+    return information, rng.normal(size=(members, p))
+
+
+class TestNewtonSteps:
+    def test_positive_definite_stack_takes_one_solve(self, rng, monkeypatch):
+        """A stack of positive-definite members is solved by one LU call
+        for all of them, each step to a residual of 1e-10 of its gradient."""
+        information, grad = information_stack(rng, 7, 6)
+        solve, calls = np.linalg.solve, []
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: pytest.fail("lstsq"))
+        steps = logistic_module._newton_steps(information, grad)
+        assert calls == [information.shape]
+        residual = np.einsum("bij,bj->bi", information, steps) - grad
+        assert (np.linalg.norm(residual, axis=1) <= 1e-10 * np.linalg.norm(grad, axis=1)).all()
+
+    def test_singular_member_alone_takes_least_squares(self, rng, monkeypatch):
+        """A singular member among positive-definite ones takes lstsq on its
+        own matrix; every other member takes the solve it takes alone."""
+        information, grad = information_stack(rng, 5, 4)
+        information[3, -1, :] = information[3, :, -1] = 0.0
+        lstsq, solved = np.linalg.lstsq, []
+
+        def recording(a, b, rcond=None):
+            solved.append(a.copy())
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        steps = logistic_module._newton_steps(information, grad)
+        assert len(solved) == 1
+        assert_same_bits(solved[0], information[3])
+        assert_same_bits(steps[3], lstsq(information[3], grad[3], rcond=None)[0])
+        for b in (0, 1, 2, 4):
+            assert_same_bits(steps[b], np.linalg.solve(information[b], grad[b]))

@@ -56,6 +56,7 @@ from .logistic import (
     _class_errors,
     _log_likelihood,
     _matvec,
+    fit_mle,
     maximize_logistic_batch,
 )
 
@@ -380,17 +381,17 @@ def fit_m7(
     source_sample: LabeledSample,
     learning: LabeledSample,
     config: FitConfig = FitConfig(),
-    start: LogisticParams | None = None,
 ) -> TransferFit:
     """Refit on all source rows pooled with the learning rows.
 
-    Newton starts at ``start``, or at zero when it is None. The sweep
-    starts at the source fit, ``fit_mle(source_sample, config).params``;
-    given that start, the result is bitwise the sweep's, the block of one
-    of its pooled refits. Another start moves only the last bits of a
-    converged fit. A fit with no finite answer raises NumericalError.
+    Newton starts at the source fit, as the sweep's refits do, or at zero
+    when the source alone has no fit (a single class at ridge 0); the
+    result is bitwise the sweep's, the block of one of its pooled refits.
+    A fit with no finite answer raises NumericalError.
     """
-    if start is None:
+    try:
+        start = fit_mle(source_sample, config).params
+    except NumericalError:
         start = LogisticParams(0.0, np.zeros(source_sample.dimension))
     block = _m7_block(
         source_sample, start, learning.features[None], learning.labels[None], config
@@ -408,8 +409,8 @@ def _m7_block(source_sample, start, features, labels, config) -> _Block:
 
     The members go through the batched Newton engine in near-equal chunks,
     each within ``_BLOCK_CELLS`` cells of its stacked pooled design, and
-    each fit is bitwise that of :func:`fit_m7` on its sample alone from
-    the same start. A member with no finite answer (a single class at
+    each fit started at the source fit is bitwise that of :func:`fit_m7`
+    on its sample alone. A member with no finite answer (a single class at
     ridge 0, or fitted parameters that are not finite) gets its
     NumericalError in place of a fit.
     """

@@ -556,9 +556,8 @@ class TestBlockRecords:
     @given(small_sweeps())
     def test_records_equal_per_repetition_oracle(self, sweep):
         """Each record of a block is the per-repetition path: the fit of
-        its learning split alone (M7's from the source fit, where the sweep
-        starts it), then confusion and error_report on its test split. A
-        fit that fails leaves a failed record."""
+        its learning split alone, then confusion and error_report on its
+        test split. A fit that fails leaves a failed record."""
         source, target, config = sweep
         n = config.learning_sizes[0]
         params = fit_mle(source, config.fit).params
@@ -569,7 +568,7 @@ class TestBlockRecords:
             kind = LinkModelKind(record.model)
             try:
                 if kind is LinkModelKind.M7:
-                    fit = fit_m7(source, learning, config.fit, start=params)
+                    fit = fit_m7(source, learning, config.fit)
                 else:
                     fit = estimate_transition(kind, params, learning, config.fit)
             except NumericalError:

@@ -577,20 +577,27 @@ class TestM7Blocks:
     @settings(max_examples=40)
     @given(m7_blocks())
     def test_member_equals_fit_m7_alone(self, block):
-        """Every member of a chunked block is bitwise fit_m7 on its sample
-        alone from the same start, and bitwise the one-problem Newton run on
-        the stacked pooled rows from that start."""
+        """Every member of a chunked block is bitwise the one-problem Newton
+        run on the stacked pooled rows from the block's start; started at
+        the source fit, as the sweep starts, it is bitwise fit_m7 on its
+        sample alone."""
         source, start, learnings, config, budget = block
         with mock.patch.object(links_module, "_BLOCK_CELLS", budget):
             fits = block_fits(LinkModelKind.M7, start, source, learnings, config)
-        for fit, learning in zip(fits, learnings):
-            alone = fit_m7(source, learning, config, start=start)
+            swept = block_fits(
+                LinkModelKind.M7, fit_mle(source, config).params, source, learnings, config
+            )
+        for fit, swept_fit, learning in zip(fits, swept, learnings):
             params, converged = pooled_fit(source, learning, config, start)
-            assert params_bits(fit.target_params) == params_bits(alone.target_params)
             assert params_bits(fit.target_params) == params_bits(params)
-            assert (fit.converged, fit.log_likelihood) == (alone.converged, alone.log_likelihood)
             assert fit.converged == converged
             assert fit.log_likelihood == log_likelihood(params, learning)
+            alone = fit_m7(source, learning, config)
+            assert params_bits(swept_fit.target_params) == params_bits(alone.target_params)
+            assert (swept_fit.converged, swept_fit.log_likelihood) == (
+                alone.converged,
+                alone.log_likelihood,
+            )
 
     def test_zero_column_member_takes_least_squares(self, rng, monkeypatch):
         truth = LogisticParams(0.3, np.array([0.8, -1.0]))
@@ -619,7 +626,7 @@ class TestM7Blocks:
             LabeledSample(rng.normal(size=(6, 1)), labels, names)
             for labels in ([0, 1, 0, 1, 0, 0], [0] * 6, [1, 1, 0, 0, 1, 0])
         ]
-        # a single-class source at ridge 0 has no fit, so M7 starts at zero
+        # a single-class source at ridge 0 has no fit, so fit_m7 starts at zero
         fits = block_fits(LinkModelKind.M7, zero_start(1), source, learnings, FitConfig(ridge=0.0))
         assert isinstance(fits[1], NumericalError)
         for i in (0, 2):

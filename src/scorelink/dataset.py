@@ -239,8 +239,22 @@ def _format_number(v: float) -> str:
     return repr(v)
 
 
+_HASH_CHUNK = 2**20
+
+
 def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex sha256 of the file's bytes, read ``_HASH_CHUNK`` bytes at a time.
+
+    Each chunk is dropped before the next read, so at most one is held. A
+    chunk is a fresh read, not a preallocated buffer, because a zero-filled
+    buffer would make all of its pages resident however small the file.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
+            del chunk
+    return digest.hexdigest()
 
 
 def split_by_account_status(

@@ -51,6 +51,7 @@ import numpy as np
 from .dataset import LabeledSample
 from .exceptions import NumericalError
 from .logistic import (
+    _BLOCK_CELLS,
     FitConfig,
     LogisticParams,
     _class_errors,
@@ -62,16 +63,6 @@ from .logistic import (
 
 # below this magnitude a source coefficient makes its scale unidentifiable
 IDENTIFIABILITY_EPS = 1e-10
-
-# Cells (rows x columns) that one stacked design handed to the batched
-# Newton engine may hold: the M6 design of a block of repetitions, or the
-# pooled M7 design of a chunk of one. That design, the engine's weighted
-# copy of it, the block's learning features and the link design's scaled
-# copy of them are the transient arrays of a call, each at most this many
-# doubles: 4 x 8 bytes x 2**16 cells = 2 MB.
-# The experiment's scoring pass gathers test features and scores in chunks
-# within the same budget.
-_BLOCK_CELLS = 2**16
 
 
 def _chunks(count: int, member_cells: int) -> list[range]:

@@ -169,9 +169,39 @@ def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray):
     return _matvec(np.swapaxes(design, -1, -2), labels - prob), prob
 
 
+# Cells (rows x columns) that a transient array of a Newton call may hold:
+# the stacked design handed to the batched engine (the M6 design of a block
+# of repetitions, or the pooled M7 design of a chunk of one), the engine's
+# weighted copy of it, the block's learning features and the link design's
+# scaled copy of them, each at most 8 bytes x 2**16 cells = 512 KiB. The
+# links keep the stacked designs within it by chunking (only a member larger
+# than the budget, such as a pooled M7 design on a large source, exceeds it,
+# as a chunk of its own); :func:`_information` keeps the weighted copy within
+# it per member at any design height by working in row blocks. The
+# experiment's scoring pass gathers test features and scores in chunks
+# within the same budget.
+_BLOCK_CELLS = 2**16
+
+
 def _information(design: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """Negated Hessian of the log-likelihood in v."""
-    return np.swapaxes(design * (prob * (1.0 - prob))[..., None], -1, -2) @ design
+    """Negated Hessian of the log-likelihood in v.
+
+    Summed over blocks of ``_BLOCK_CELLS // p`` rows in row order, so the
+    weighted copy of the design holds at most one block per member. A
+    design of at most one block takes a single product; the block height
+    depends only on ``p``, so a member of a stack is still bitwise the
+    problem alone.
+    """
+    height = max(1, _BLOCK_CELLS // design.shape[-1])
+
+    def block(rows: slice) -> np.ndarray:
+        x, mu = design[..., rows, :], prob[..., rows]
+        return np.swapaxes(x * (mu * (1.0 - mu))[..., None], -1, -2) @ x
+
+    information = block(slice(0, height))
+    for start in range(height, design.shape[-2], height):
+        information += block(slice(start, start + height))
+    return information
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,12 +15,17 @@ import scorelink.links as links_module
 from scorelink import LabeledSample, SplitPlan, cli
 from scorelink.dataset import split_rows
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run(
         [sys.executable, "-m", "scorelink.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -185,7 +192,7 @@ class TestExperimentCommand:
         assert {f"roc_M{k}.csv" for k in range(1, 8)} <= names
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed"] == 42
-        assert len(meta["dataset_sha256"]) == 64
+        assert meta["dataset_sha256"] == hashlib.sha256(german_csv.read_bytes()).hexdigest()
 
     def test_idempotent_and_jobs_invariant(self, german_csv, tmp_path):
         outputs = []

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from scorelink import (
     split_by_account_status,
 )
 from scorelink import dataset as dataset_module
-from scorelink.dataset import _format_number, _parse_csv, write_csv
+from scorelink.dataset import _format_number, _parse_csv, file_sha256, write_csv
 
 
 def write_lines(tmp_path, name, lines):
@@ -239,6 +241,26 @@ class TestWriteCsv:
             write_csv(sample, path)
             again = load_csv(path)
         assert_bitwise(again, sample)
+
+
+class TestFileSha256:
+    @pytest.mark.parametrize("size", [0, 1, 2 * dataset_module._HASH_CHUNK + 1])
+    def test_digest_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "data.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_reads_in_chunks(self, tmp_path):
+        """Hashing an 8 MB file never holds more than a chunk of it."""
+        path = tmp_path / "data.bin"
+        path.write_bytes(bytes(8 * 2**20))
+        tracemalloc.start()
+        try:
+            file_sha256(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSplitByAccountStatus:

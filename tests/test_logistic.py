@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,12 +434,57 @@ class TestBatchedNewton:
         assert result.gradient_norm[3] == np.inf
 
 
+def single_product(design, prob):
+    """The information matrix as one product over all rows."""
+    return np.swapaxes(design * (prob * (1.0 - prob))[..., None], -1, -2) @ design
+
+
+class TestInformation:
+    P = 21
+    HEIGHT = logistic_module._BLOCK_CELLS // P  # rows of one block
+
+    @pytest.mark.parametrize("shape", [(HEIGHT, P), (3, HEIGHT, P), (2, 40, P)])
+    def test_one_block_is_the_single_product(self, rng, shape):
+        """A design of at most one block keeps the single product, bit for bit."""
+        design = rng.normal(size=shape)
+        prob = rng.uniform(0.05, 0.95, size=shape[:-1])
+        assert_same_bits(logistic_module._information(design, prob), single_product(design, prob))
+
+    @pytest.mark.parametrize("column_major", [False, True])
+    def test_blocked_member_is_itself_alone(self, rng, column_major):
+        """In a stack of designs of about 2.5 blocks, each member is bitwise
+        the member alone, and the block sum agrees with the single product
+        to a relative 1e-12."""
+        design = rng.normal(size=(2, 5 * self.HEIGHT // 2, self.P))
+        if column_major:
+            design = np.ascontiguousarray(design.transpose(0, 2, 1)).transpose(0, 2, 1)
+        prob = rng.uniform(0.05, 0.95, size=design.shape[:-1])
+        information = logistic_module._information(design, prob)
+        reference = single_product(design, prob)
+        for b in range(2):
+            alone = logistic_module._information(design[b:b + 1], prob[b:b + 1])
+            assert_same_bits(information[b], alone[0])
+            np.testing.assert_allclose(information[b], reference[b], rtol=1e-12, atol=0)
+
+    def test_weighted_copy_stays_within_the_budget(self, rng):
+        """On a (1, 200,000, 21) design (34 MB) the kernel allocates under
+        4 MB: one block's weighted copy, not a copy of the whole design."""
+        design = rng.normal(size=(1, 200_000, self.P))
+        prob = rng.uniform(0.05, 0.95, size=design.shape[:-1])
+        tracemalloc.start()
+        try:
+            logistic_module._information(design, prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 def information_stack(rng, members, p):
     """Positive-definite information matrices of logistic designs, and gradients."""
     design = rng.normal(size=(members, 3 * p, p))
     prob = rng.uniform(0.1, 0.9, size=(members, 3 * p))
-    information = np.swapaxes(design * (prob * (1.0 - prob))[..., None], -1, -2) @ design
-    return information, rng.normal(size=(members, p))
+    return single_product(design, prob), rng.normal(size=(members, p))
 
 
 class TestNewtonSteps:

@@ -113,19 +113,17 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be > 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if not 0 < self.gradient_tolerance < np.inf:  # also rejects NaN
+            raise ValueError("gradient_tolerance must be finite and > 0")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError("ridge must be finite and non-negative")
 
 
 @dataclass(frozen=True)
 class FitReport:
     """Outcome of a fit: parameters plus convergence diagnostics.
 
-    ``log_likelihood`` is the unpenalized log-likelihood at the optimum;
-    ``objective_trace`` records the penalized objective after each
-    accepted Newton step (non-decreasing by construction).
+    ``log_likelihood`` is the unpenalized log-likelihood at the optimum.
     """
 
     params: LogisticParams
@@ -133,24 +131,15 @@ class FitReport:
     iterations: int
     converged: bool
     gradient_norm: float
-    objective_trace: tuple[float, ...] = ()
 
 
 class NewtonBatch(NamedTuple):
-    """The results of a stack of B Newton problems, a row per member.
-
-    ``trace`` (B, T) holds each member's penalized objective at the start
-    and after each accepted step: member b's first ``iterations[b] + 1``
-    entries, then NaN. It has the starting column and one per iteration
-    that ran a line search, so T is at most ``max_iterations + 1``.
-    """
+    """The results of a stack of B Newton problems, a row per member."""
 
     x: np.ndarray  # (B, p)
     converged: np.ndarray  # (B,) bool
     iterations: np.ndarray  # (B,) int
     gradient_norm: np.ndarray  # (B,)
-    objective: np.ndarray  # (B,)
-    trace: np.ndarray  # (B, T)
 
 
 # The Bernoulli kernel in the linear predictor eta = offset + design @ v.
@@ -238,8 +227,8 @@ def maximize_logistic(
     Solves the (design, offset)-parameterized problem described in the
     module docstring for one design of shape (n, p). It is the batch of
     one of :func:`maximize_logistic_batch`, which states the contract,
-    and returns that member's fields: ``x`` (p,), the flags and norms as
-    Python scalars, and the trace as a tuple of ``iterations + 1`` values.
+    and returns that member's fields: ``x`` (p,) and the convergence
+    flag, iteration count and gradient norm as Python scalars.
     """
     design = np.asarray(design, dtype=float)
     n, _ = design.shape
@@ -253,14 +242,11 @@ def maximize_logistic(
         max_iterations,
         gradient_tolerance,
     )
-    iterations = int(batch.iterations[0])
     return NewtonBatch(
         batch.x[0],
         bool(batch.converged[0]),
-        iterations,
+        int(batch.iterations[0]),
         float(batch.gradient_norm[0]),
-        float(batch.objective[0]),
-        tuple(batch.trace[0, : iterations + 1].tolist()),
     )
 
 
@@ -313,14 +299,11 @@ def maximize_logistic_batch(
     members = np.arange(batch)  # the member whose problem each row holds
     v = np.repeat(start[None], batch, axis=0)
     obj, eta = objective(v)
-    trace = [obj]  # then a (B,) column per line search, NaN where no step was taken
     out = NewtonBatch(
         np.empty((batch, p)),
         np.empty(batch, dtype=bool),
         np.empty(batch, dtype=int),
         np.empty(batch),
-        np.empty(batch),
-        None,
     )
 
     def finish(rows, converged, gradient_norm, iteration) -> bool:
@@ -330,7 +313,6 @@ def maximize_logistic_batch(
         out.converged[done] = converged[rows]
         out.iterations[done] = iteration
         out.gradient_norm[done] = gradient_norm[rows]
-        out.objective[done] = obj[rows]
         return rows.all()
 
     def drop(rows):
@@ -395,9 +377,6 @@ def maximize_logistic_batch(
             v = np.where(accepted[:, None], candidate, v)
             obj = np.where(accepted, cand_obj, obj)
             eta = np.where(accepted[:, None], cand_eta, eta)
-        column = np.full(batch, np.nan)
-        column[members[accepted]] = obj[accepted]
-        trace.append(column)
 
         if not accepted.all():  # numerical floor reached; no further progress possible
             stuck = ~accepted
@@ -405,7 +384,7 @@ def maximize_logistic_batch(
                 break
             drop(stuck)
 
-    return out._replace(trace=np.column_stack(trace))
+    return out
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
@@ -523,6 +502,5 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
         iterations=result.iterations,
         converged=result.converged,
         gradient_norm=result.gradient_norm,
-        objective_trace=result.trace,
     )
 

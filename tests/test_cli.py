@@ -405,6 +405,31 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["fit", "--tolerance", "inf"], None, "gradient_tolerance must be finite and > 0"),
+            (["fit", "--ridge", "nan"], None, "ridge must be finite and non-negative"),
+            (["experiment", "--ridge", "inf"], None, "ridge must be finite and non-negative"),
+            (["fit"], '{"ridge": 1e400}', "ridge must be finite and non-negative"),
+        ],
+        ids=["fit-tolerance-inf", "fit-ridge-nan", "experiment-ridge-inf", "config-ridge-1e400"],
+    )
+    def test_non_finite_fit_setting_is_usage_error(self, german_csv, tmp_path, capsys,
+                                                   argv, config, message):
+        """A NaN or infinite ridge or tolerance, from a flag or from a config
+        number that JSON reads as infinite, is rejected before any fit."""
+        out = tmp_path / "out"
+        argv = [*argv, "--data", german_csv]
+        if argv[0] == "experiment":
+            argv += ["--out", out]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv += ["--config", tmp_path / "config.json"]
+        error = main_fails(capsys, *argv)
+        assert error == {"error": message, "code": 2}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "code, argv",
         [
             (2, ["experiment", "--data", "{german}", "--out", "{file}",

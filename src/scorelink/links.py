@@ -55,6 +55,7 @@ from .logistic import (
     FitConfig,
     LogisticParams,
     _class_errors,
+    _exp_neg_abs,
     _log_likelihood,
     _matvec,
     fit_mle,
@@ -246,7 +247,8 @@ def _finish_block(
     fitted = np.array([error is None for error in errors], dtype=bool)
     intercepts = np.where(fitted, intercepts, 0.0)
     coefficients = np.where(fitted[:, None], coefficients, 0.0)
-    likelihoods = _log_likelihood(labels, intercepts[:, None] + _matvec(features, coefficients))
+    eta = intercepts[:, None] + _matvec(features, coefficients)
+    likelihoods = _log_likelihood(labels, eta, _exp_neg_abs(eta))
     return _Block(
         kind,
         errors,

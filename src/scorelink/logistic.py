@@ -13,8 +13,9 @@ where ``eta = offset + design @ v``, and returns their results as one
 transfer estimators in :mod:`scorelink.links` call it on whole blocks;
 :func:`fit_mle` fits one problem through :func:`maximize_logistic`, the
 batch of one. All probability evaluations use a numerically stable
-sigmoid (no overflow for any finite linear predictor) and the
-likelihood uses ``logaddexp``, so both stay finite everywhere.
+sigmoid (no overflow for any finite linear predictor), and the likelihood
+the softplus max(eta, 0) + log1p(exp(-|eta|)), so both stay finite
+everywhere; the two share the one exp(-|eta|) per point.
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ _NOISE_EPS = 1e-13
 def sigmoid(eta):
     """Numerically stable logistic function, clipped into (0, 1)."""
     eta = np.asarray(eta, dtype=float)
-    e = np.exp(-np.abs(eta))  # never overflows
-    return np.clip(np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _P_LO, _P_HI)
+    return _probability(eta, _exp_neg_abs(eta))
+
+
+def _exp_neg_abs(eta: np.ndarray) -> np.ndarray:
+    """exp(-|eta|), which never overflows."""
+    return np.exp(-np.abs(eta))
 
 
 @dataclass(frozen=True)
@@ -147,50 +152,79 @@ class NewtonBatch(NamedTuple):
 # Each takes one problem (design (n, p), vectors (n,)) or a stack of them
 # (design (B, n, p), vectors (B, n)). A member of a stack goes through the
 # same BLAS call, on the same shape and memory layout, as the problem alone,
-# so its result is bitwise the same.
-def _log_likelihood(labels: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    return (labels * eta - np.logaddexp(0.0, eta)).sum(axis=-1)
+# so its result is bitwise the same. The likelihood and the probabilities
+# are built from e = exp(-|eta|), which the Newton engine computes once per
+# point and carries next to eta.
+def _softplus(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(eta)) from ``e = exp(-|eta|)``, finite for finite eta."""
+    return np.maximum(eta, 0.0) + np.log1p(e)
 
 
-def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray):
+def _probability(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(eta) from ``e = exp(-|eta|)``: 1 / (1 + e) for eta >= 0 and
+    e / (1 + e) below, clipped into (0, 1)."""
+    prob = np.where(eta >= 0, 1.0, e)
+    prob /= 1.0 + e
+    return np.clip(prob, _P_LO, _P_HI, out=prob)
+
+
+def _log_likelihood(labels: np.ndarray, eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return (labels * eta - _softplus(eta, e)).sum(axis=-1)
+
+
+def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray, e: np.ndarray):
     """Gradient of the log-likelihood in v, and the fitted probabilities."""
-    prob = sigmoid(eta)
-    return _matvec(np.swapaxes(design, -1, -2), labels - prob), prob
+    prob = _probability(eta, e)
+    residual = labels - prob
+
+    def block(rows: slice) -> np.ndarray:
+        return _matvec(np.swapaxes(design[..., rows, :], -1, -2), residual[..., rows])
+
+    return _row_sum(design, block), prob
 
 
 # Cells (rows x columns) that a transient array of a Newton call may hold:
 # the stacked design handed to the batched engine (the M6 design of a block
 # of repetitions, or the pooled M7 design of a chunk of one), the engine's
-# weighted copy of it, the block's learning features and the link design's
+# weighted copy z of it, the block's learning features and the link design's
 # scaled copy of them, each at most 8 bytes x 2**16 cells = 512 KiB. The
 # links keep the stacked designs within it by chunking (only a member larger
 # than the budget, such as a pooled M7 design on a large source, exceeds it,
-# as a chunk of its own); :func:`_information` keeps the weighted copy within
-# it per member at any design height by working in row blocks. The
-# experiment's scoring pass gathers test features and scores in chunks
-# within the same budget.
+# as a chunk of its own); :func:`_row_sum` keeps z within it per member at
+# any design height by summing the gradient and the information over row
+# blocks. The experiment's scoring pass gathers test features and scores in
+# chunks within the same budget.
 _BLOCK_CELLS = 2**16
 
 
-def _information(design: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """Negated Hessian of the log-likelihood in v.
+def _row_sum(design: np.ndarray, block) -> np.ndarray:
+    """The sum of ``block(rows)`` over ``design``'s rows in blocks of
+    ``_BLOCK_CELLS // p`` (at least one), in row order.
 
-    Summed over blocks of ``_BLOCK_CELLS // p`` rows in row order, so the
-    weighted copy of the design holds at most one block per member. A
-    design of at most one block takes a single product; the block height
-    depends only on ``p``, so a member of a stack is still bitwise the
-    problem alone.
+    Both reductions over the rows, the gradient and the information, go
+    through it. OpenBLAS does not split a block's row sum between its
+    threads, as it does a longer product's, so the result does not depend
+    on the thread count; and the block height depends only on ``p``, so a
+    member of a stack is bitwise the problem alone. A design of at most
+    one block takes a single product.
     """
-    height = max(1, _BLOCK_CELLS // design.shape[-1])
+    height = max(1, _BLOCK_CELLS // max(1, design.shape[-1]))
+    total = block(slice(0, height))
+    for start in range(height, design.shape[-2], height):
+        total += block(slice(start, start + height))
+    return total
+
+
+def _information(design: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Negated Hessian of the log-likelihood in v: z^T z with
+    z = design * sqrt(prob * (1 - prob)), a symmetric product per block."""
 
     def block(rows: slice) -> np.ndarray:
-        x, mu = design[..., rows, :], prob[..., rows]
-        return np.swapaxes(x * (mu * (1.0 - mu))[..., None], -1, -2) @ x
+        mu = prob[..., rows]
+        z = design[..., rows, :] * np.sqrt(mu * (1.0 - mu))[..., None]
+        return np.swapaxes(z, -1, -2) @ z
 
-    information = block(slice(0, height))
-    for start in range(height, design.shape[-2], height):
-        information += block(slice(start, start + height))
-    return information
+    return _row_sum(design, block)
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -276,8 +310,9 @@ def maximize_logistic_batch(
     step-halving then enforces the Armijo condition.
     The result holds member b's fields in row b, each bitwise those of the
     batch holding member b alone. The linear predictor computed for the
-    objective at the accepted point is carried into the next iteration's
-    gradient, so each Newton point costs one product with the design.
+    objective at the accepted point, and its exp(-|eta|), are carried into
+    the next iteration's gradient, so each Newton point costs one product
+    with the design and one exp.
 
     Finished members are compacted out of ``design``, ``labels`` and
     ``offset`` in place, so with B > 1 these must be writable arrays
@@ -291,14 +326,15 @@ def maximize_logistic_batch(
     running = (design, labels, offset)  # the rows of the members still running
 
     def objective(vec):
-        """The objective at ``vec`` and its linear predictor."""
+        """The objective at ``vec``, its linear predictor and exp(-|eta|)."""
         x, y, off = running
         eta = off + _matvec(x, vec)
-        return _log_likelihood(y, eta) - 0.5 * _dot(penalty, (vec - center) ** 2), eta
+        e = _exp_neg_abs(eta)
+        return _log_likelihood(y, eta, e) - 0.5 * _dot(penalty, (vec - center) ** 2), eta, e
 
     members = np.arange(batch)  # the member whose problem each row holds
     v = np.repeat(start[None], batch, axis=0)
-    obj, eta = objective(v)
+    obj, eta, e = objective(v)
     out = NewtonBatch(
         np.empty((batch, p)),
         np.empty(batch, dtype=bool),
@@ -317,16 +353,16 @@ def maximize_logistic_batch(
 
     def drop(rows):
         """Compact the members not in ``rows`` into the leading rows."""
-        nonlocal running, members, v, obj, eta
+        nonlocal running, members, v, obj, eta, e
         keep = np.flatnonzero(~rows)
         _compact(keep, design, labels, offset)
         running = (design[: len(keep)], labels[: len(keep)], offset[: len(keep)])
-        members, v, obj, eta = members[keep], v[keep], obj[keep], eta[keep]
+        members, v, obj, eta, e = members[keep], v[keep], obj[keep], eta[keep], e[keep]
         return keep
 
     for iteration in range(max_iterations + 1):
         x, y, _ = running
-        grad, prob = _gradient(x, y, eta)
+        grad, prob = _gradient(x, y, eta, e)
         grad -= penalty * (v - center)
         squared_norm = _dot(grad, grad)
         gradient_norm = np.sqrt(squared_norm)
@@ -352,10 +388,10 @@ def maximize_logistic_batch(
         # Armijo step-halving, t = 1, 1/2, ... down to _MIN_STEP per member
         noise = _NOISE_EPS * (1.0 + np.abs(obj))
         candidate = v + step
-        cand_obj, cand_eta = objective(candidate)
+        cand_obj, cand_eta, cand_e = objective(candidate)
         accepted = cand_obj >= obj + _ARMIJO * slope - noise
         if accepted.all():
-            v, obj, eta = candidate, cand_obj, cand_eta
+            v, obj, eta, e = candidate, cand_obj, cand_eta, cand_e
         else:
             t = np.ones(len(v))
             searching = ~accepted
@@ -367,16 +403,18 @@ def maximize_logistic_batch(
                 # every row is evaluated: selecting the searching rows would
                 # copy their designs, and an accepted row's value is not used
                 trial = v + t[:, None] * step
-                trial_obj, trial_eta = objective(trial)
+                trial_obj, trial_eta, trial_e = objective(trial)
                 accept = searching & (trial_obj >= obj + _ARMIJO * t * slope - noise)
                 candidate[accept] = trial[accept]
                 cand_obj[accept] = trial_obj[accept]
                 cand_eta[accept] = trial_eta[accept]
+                cand_e[accept] = trial_e[accept]
                 accepted |= accept
                 searching &= ~accept
             v = np.where(accepted[:, None], candidate, v)
             obj = np.where(accepted, cand_obj, obj)
             eta = np.where(accepted[:, None], cand_eta, eta)
+            e = np.where(accepted[:, None], cand_e, e)
 
         if not accepted.all():  # numerical floor reached; no further progress possible
             stuck = ~accepted
@@ -444,7 +482,8 @@ def score(params: LogisticParams, x) -> np.ndarray | float:
 def log_likelihood(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> float:
     """Bernoulli log-likelihood of the sample, minus ridge * ||beta||^2 / 2."""
     _check_dimensions(params, sample)
-    ll = float(_log_likelihood(sample.labels, params.linear_predictor(sample.features)))
+    eta = params.linear_predictor(sample.features)
+    ll = float(_log_likelihood(sample.labels, eta, _exp_neg_abs(eta)))
     return ll - 0.5 * ridge * float(params.coefficients @ params.coefficients)
 
 
@@ -452,7 +491,8 @@ def gradient(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) 
     """Gradient of :func:`log_likelihood` w.r.t. (intercept, coefficients)."""
     _check_dimensions(params, sample)
     design, penalty = _intercept_design(sample, ridge)
-    grad, _ = _gradient(design, sample.labels, params.linear_predictor(sample.features))
+    eta = params.linear_predictor(sample.features)
+    grad, _ = _gradient(design, sample.labels, eta, _exp_neg_abs(eta))
     return grad - penalty * np.concatenate(([params.intercept], params.coefficients))
 
 

@@ -13,13 +13,14 @@ import pytest
 import scorelink.experiment as experiment_module
 import scorelink.links as links_module
 from scorelink import LabeledSample, SplitPlan, cli
-from scorelink.dataset import split_rows
+from scorelink.dataset import split_rows, write_csv
+from scorelink.gaussian import apply_link, random_homoscedastic_pair, sample_mixture
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args):
-    env = dict(os.environ)
+def run_cli(*args, **environment):
+    env = dict(os.environ, **environment)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run(
         [sys.executable, "-m", "scorelink.cli", *args],
@@ -209,6 +210,36 @@ class TestExperimentCommand:
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        """Every output file is byte-identical at one and at two BLAS
+        threads, on a Gaussian input whose 8,000-row source fit and pooled
+        M7 designs are large enough for OpenBLAS to split a product over
+        the rows between its threads, had the kernel not summed them in
+        fixed row blocks."""
+        rng = np.random.default_rng(0)
+        spec, link = random_homoscedastic_pair(20, rng)
+        source = sample_mixture(spec, 8000, 1)
+        target = sample_mixture(apply_link(spec, link), 600, 2)
+        accounts = np.concatenate([np.full(8000, 2.0), np.ones(600)])
+        data = tmp_path / "gaussian.csv"
+        write_csv(LabeledSample(
+            np.column_stack([np.vstack([source.features, target.features]), accounts]),
+            np.concatenate([source.labels, target.labels]),
+            source.feature_names + ("laufkont",),
+        ), data)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli(
+                "experiment", "--data", str(data), "--out", str(out),
+                "--sizes", "100,200", "--repetitions", "2",
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "raw_records.csv" in outputs[0]
         assert outputs[0] == outputs[1]
 
     def test_config_file_merging(self, german_csv, tmp_path):

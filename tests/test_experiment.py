@@ -236,10 +236,11 @@ class TestOutputs:
 
 # sha256 of the `scorelink experiment --sizes 50,200 --repetitions 5` outputs
 # on the packaged german.csv (seed 0). Frozen; the raw-records digest was
-# re-pinned once, when M7 began at the source fit and a Newton step took one
-# linear solve.
+# re-pinned twice, when M7 began at the source fit and a Newton step took one
+# linear solve, and when the kernel took one exp per Newton point and summed
+# the gradient and a symmetric information over row blocks.
 GOLDEN_SHA256 = {
-    "raw_records.csv": "aeb8d37f07c996b4500f9e7182046e256f8dbf0c61de334057a87c062e6c347b",
+    "raw_records.csv": "b4087385e7c8088439cf013ff4af79a26e417697530d4cfdd0d775a6ca4663c6",
     "tables_test_error.csv": "2564b04dbbec654bf193c6b60c15e47bb0f8b82dcd6a5fd39eeef7d28f7fcdf7",
     "tables_type_i.csv": "ab79c732a0929d7bd23ff5dab0afdc062f6cbcd57183f3b28a69f47b116dc787",
     "tables_type_ii.csv": "9f2aea02a3d8e60da8d0456b21f186b1ed6cdb30af5a1ba84addc7a973703df7",

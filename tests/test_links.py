@@ -718,7 +718,7 @@ class TestBlockUnpacking:
 
 
 # sha256 of the M1-M7 block fits of golden_blocks(), as fits_digest hashes them
-BLOCK_FITS_SHA256 = "44b40e167cb10daa7111fd297f84f4e4a66e191bd629fe9a7fbced7b68d321c1"
+BLOCK_FITS_SHA256 = "8d20ca235d6186c0fc2555e0fae70e7ee7151f673a936becf80c21ad0e6ff54c"
 # M7 chunks of two members: the pooled design of a member has (40 + 20) x (d + 1) cells
 GOLDEN_M7_CELLS = 2 * (40 + 20)
 
@@ -768,9 +768,11 @@ class TestBlockDigest:
 
         The digest pins every bit of these fits, M7's started at the
         block's source parameters. It was re-pinned when M7 began at the
-        source fit and a Newton step took one linear solve (ROADMAP item
-        4); only such a deliberate numerical re-baseline updates it, and
-        says so in CHANGES.md.
+        source fit and a Newton step took one linear solve, and again when
+        the kernel took one exp per Newton point and summed the gradient
+        and a symmetric information over row blocks; only such a
+        deliberate numerical re-baseline updates it, and says so in
+        CHANGES.md.
         """
         digest = hashlib.sha256()
         for source, source_sample, learnings, config in golden_blocks():

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scorelink.logistic as logistic_module
 from scorelink import (
@@ -339,11 +340,16 @@ def assert_same_bits(a, b):
 
 def reference_newton(design, labels, offset, penalty, center, start, max_iterations,
                      gradient_tolerance):
-    """The one-problem Newton loop the batched engine replaced, as the oracle."""
+    """The one-problem Newton loop the batched engine replaced, as the oracle.
+
+    It takes the engine's softplus, max(eta, 0) + log1p(exp(-|eta|)), and
+    its symmetric information z^T z, but recomputes every quantity at each
+    point instead of carrying it."""
 
     def objective(vec):
         eta = offset + design @ vec
-        loglik = float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
+        softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        loglik = float(np.sum(labels * eta - softplus))
         return loglik - 0.5 * float(penalty @ (vec - center) ** 2)
 
     def solve(hess, grad):
@@ -369,8 +375,8 @@ def reference_newton(design, labels, offset, penalty, center, start, max_iterati
             break
         if iteration == max_iterations:
             break
-        info = (design * (prob * (1.0 - prob))[:, None]).T @ design
-        step = solve(info + np.diag(penalty), grad)
+        z = design * np.sqrt(prob * (1.0 - prob))[:, None]
+        step = solve(z.T @ z + np.diag(penalty), grad)
         slope = float(grad @ step)
         if slope <= 0.0:
             step, slope = grad, float(grad @ grad)
@@ -440,8 +446,15 @@ class TestBatchedNewton:
 
 
 def single_product(design, prob):
-    """The information matrix as one product over all rows."""
+    """The information matrix as one general product over all rows."""
     return np.swapaxes(design * (prob * (1.0 - prob))[..., None], -1, -2) @ design
+
+
+def symmetric_product(design, prob):
+    """The information matrix as one symmetric product z^T z over all rows,
+    with z = design * sqrt(prob * (1 - prob))."""
+    z = design * np.sqrt(prob * (1.0 - prob))[..., None]
+    return np.swapaxes(z, -1, -2) @ z
 
 
 class TestInformation:
@@ -450,10 +463,13 @@ class TestInformation:
 
     @pytest.mark.parametrize("shape", [(HEIGHT, P), (3, HEIGHT, P), (2, 40, P)])
     def test_one_block_is_the_single_product(self, rng, shape):
-        """A design of at most one block keeps the single product, bit for bit."""
+        """A design of at most one block takes the single symmetric product
+        z^T z, bit for bit, and its result is exactly symmetric."""
         design = rng.normal(size=shape)
         prob = rng.uniform(0.05, 0.95, size=shape[:-1])
-        assert_same_bits(logistic_module._information(design, prob), single_product(design, prob))
+        information = logistic_module._information(design, prob)
+        assert_same_bits(information, symmetric_product(design, prob))
+        assert_same_bits(information, np.swapaxes(information, -1, -2))
 
     @pytest.mark.parametrize("column_major", [False, True])
     def test_blocked_member_is_itself_alone(self, rng, column_major):
@@ -483,6 +499,87 @@ class TestInformation:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+finite_etas = hnp.arrays(
+    float, st.integers(1, 60), elements=st.floats(allow_nan=False, allow_infinity=False)
+)
+EDGE_ETAS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+                      709.8, -745.1, 36.7, -36.7])
+
+
+class TestOneExpKernel:
+    """The kernel's quantities built from the one e = exp(-|eta|) per point."""
+
+    @given(finite_etas)
+    @example(EDGE_ETAS)
+    def test_softplus_is_logaddexp(self, eta):
+        """max(eta, 0) + log1p(e) is log(1 + exp(eta)) within a few ulp."""
+        e = logistic_module._exp_neg_abs(eta)
+        np.testing.assert_array_max_ulp(
+            logistic_module._softplus(eta, e), np.logaddexp(0.0, eta), maxulp=4
+        )
+
+    @given(finite_etas)
+    @example(EDGE_ETAS)
+    def test_probability_from_e_is_sigmoid(self, eta):
+        """The probability the gradient builds from the carried e is
+        bitwise sigmoid(eta), so scores and counts do not move."""
+        e = logistic_module._exp_neg_abs(eta)
+        _, prob = logistic_module._gradient(np.ones((len(eta), 1)), np.zeros(len(eta)), eta, e)
+        assert_same_bits(prob, sigmoid(eta))
+
+    def test_one_exp_per_newton_point(self, rng, monkeypatch):
+        """On a problem whose full Newton steps are all accepted, the engine
+        takes one exp per point: the start and each accepted step."""
+        design = np.column_stack([np.ones(300), rng.normal(size=(300, 2))])
+        labels = (rng.random(300) < sigmoid(design @ [0.3, 1.0, -0.5])).astype(float)
+        exp_neg_abs, calls = logistic_module._exp_neg_abs, []
+
+        def counting(eta):
+            calls.append(eta.shape)
+            return exp_neg_abs(eta)
+
+        monkeypatch.setattr(logistic_module, "_exp_neg_abs", counting)
+        monkeypatch.setattr(logistic_module, "sigmoid", lambda eta: pytest.fail("sigmoid"))
+        result = maximize_logistic(design, labels)
+        assert result.converged and result.iterations >= 3
+        assert len(calls) == result.iterations + 1
+
+    @given(st.integers(1, 3), st.integers(0, 40))
+    def test_zero_column_design(self, members, rows):
+        """A (B, n, 0) design has a (B, 0) zero gradient and a (B, 0, 0)
+        information, and neither raises."""
+        design = np.zeros((members, rows, 0))
+        eta = np.zeros((members, rows))
+        grad, prob = logistic_module._gradient(
+            design, np.ones((members, rows)), eta, logistic_module._exp_neg_abs(eta)
+        )
+        assert grad.shape == (members, 0)
+        assert logistic_module._information(design, prob).shape == (members, 0, 0)
+
+    @settings(max_examples=12)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.booleans())
+    def test_blocked_gradient_member_is_itself_alone(self, seed, p, column_major):
+        """In a stack of designs of about 2.5 blocks, each member's gradient
+        is bitwise the member alone, and the block sum is within a relative
+        1e-12 (in norm) of the single product over all rows."""
+        rng = np.random.default_rng(seed)
+        design = rng.normal(size=(2, 5 * (logistic_module._BLOCK_CELLS // p) // 2, p))
+        if column_major:
+            design = np.ascontiguousarray(design.transpose(0, 2, 1)).transpose(0, 2, 1)
+        labels = rng.integers(0, 2, size=design.shape[:-1]).astype(float)
+        eta = rng.normal(scale=3.0, size=design.shape[:-1])
+        e = logistic_module._exp_neg_abs(eta)
+        grad, prob = logistic_module._gradient(design, labels, eta, e)
+        reference = (np.swapaxes(design, -1, -2) @ (labels - prob)[..., None])[..., 0]
+        for b in range(2):
+            alone, _ = logistic_module._gradient(
+                design[b:b + 1], labels[b:b + 1], eta[b:b + 1], e[b:b + 1]
+            )
+            assert_same_bits(grad[b], alone[0])
+            gap = np.linalg.norm(grad[b] - reference[b])
+            assert gap <= 1e-12 * np.linalg.norm(reference[b])
 
 
 def information_stack(rng, members, p):

@@ -191,6 +191,13 @@ def _load_params(path: str) -> LogisticParams:
         raise DataError(f"bad parameter file {path}: {exc}") from None
 
 
+def _check_width(name: str, width: int, sample, path: str) -> None:
+    """A data error unless the sample read from ``path`` has the ``width``
+    features of ``name``."""
+    if sample.dimension != width:
+        raise DataError(f"{path} has {sample.dimension} features, but {name} has {width}")
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, allow_nan=False)
     if out:
@@ -244,11 +251,14 @@ def _cmd_transfer(args) -> int:
         if not args.source_data:
             raise _UsageError("M7 requires --source-data")
         source_sample = load_csv(args.source_data, args.target_column)
+        _check_width("--source-data", source_sample.dimension, learning, args.learning)
         fit = fit_m7(source_sample, learning, config)
     else:
         if not args.source_params:
             raise _UsageError(f"{kind.value} requires --source-params")
-        fit = estimate_transition(kind, _load_params(args.source_params), learning, config)
+        params = _load_params(args.source_params)
+        _check_width("--source-params", params.dimension, learning, args.learning)
+        fit = estimate_transition(kind, params, learning, config)
     _emit(fit.to_dict(), args.out)
     return 0
 
@@ -256,6 +266,7 @@ def _cmd_transfer(args) -> int:
 def _cmd_evaluate(args) -> int:
     params = _load_params(args.params)
     sample = load_csv(args.data, args.target_column)
+    _check_width("--params", params.dimension, sample, args.data)
     counts = confusion(score(params, sample.features), sample.labels, args.threshold)
     report = error_report(counts, args.threshold)
     payload = report.to_dict()

@@ -173,11 +173,16 @@ def error_report(counts: ConfusionCounts, threshold: float = 0.5) -> ErrorReport
 def roc(scores, labels) -> RocCurve:
     """Sweep all distinct score values (plus thresholds 0 and 1).
 
-    Requires both classes present. The AUC is the trapezoidal area under
-    the sweep and is invariant under strictly monotone score transforms,
-    since thresholds are taken from the scores themselves.
+    Requires both classes present and every score in [0, 1]: the sweep
+    starts at threshold 0 with every row accepted and ends at threshold 1
+    with every row rejected, a score of 1 included. The AUC is the
+    trapezoidal area under the sweep and is invariant under strictly
+    monotone maps of the scores into [0, 1], since thresholds are taken
+    from the scores themselves.
     """
     scores, labels = _validate_scores_labels(scores, labels)
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        raise DataError("ROC scores must lie in [0, 1]")
     positives = int(np.sum(labels == 1))
     negatives = labels.shape[0] - positives
     if positives == 0 or negatives == 0:
@@ -187,8 +192,9 @@ def roc(scores, labels) -> RocCurve:
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
     pos_below = np.concatenate(([0], np.cumsum(labels[order] == 1)))
-    # rows with score >= t are predicted positive
+    # rows with score >= t are predicted positive, and none at the last t
     first_ge = np.searchsorted(sorted_scores, thresholds, side="left")
+    first_ge[-1] = labels.shape[0]
     fn = pos_below[first_ge]
     tp = positives - fn
     fp = (labels.shape[0] - first_ge) - tp

@@ -86,7 +86,9 @@ class LinkModelKind(Enum):
     M7 = "M7"
 
     def free_parameter_count(self, dimension: int) -> int:
-        """Number of parameters the estimator optimizes for this kind."""
+        """Number of free parameters of this kind; for M5 and M6 an upper
+        bound on those the estimator optimizes, as the scale of a source
+        coefficient within ``IDENTIFIABILITY_EPS`` of zero is pinned at 1."""
         if self is LinkModelKind.M7:
             return dimension + 1  # the pooled refit estimates every parameter
         shift_free, scale = _GRID[self]

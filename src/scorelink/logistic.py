@@ -34,7 +34,8 @@ from .exceptions import NumericalError
 _P_LO = 1e-300
 _P_HI = 1.0 - 1e-16
 
-_MIN_STEP = 2.0**-60
+# the line search's step sizes t = 1, 1/2, ... down to its floor 2**-60
+_STEP_SIZES = tuple(2.0**-j for j in range(61))
 _ARMIJO = 1e-4
 # absolute noise allowance: near the optimum the true per-step gain drops
 # below the objective's floating-point resolution, and a strict Armijo test
@@ -309,10 +310,14 @@ def maximize_logistic_batch(
     and takes the gradient when the result is not an ascent direction;
     step-halving then enforces the Armijo condition.
     The result holds member b's fields in row b, each bitwise those of the
-    batch holding member b alone. The linear predictor computed for the
-    objective at the accepted point, and its exp(-|eta|), are carried into
-    the next iteration's gradient, so each Newton point costs one product
-    with the design and one exp.
+    batch holding member b alone: ``x``, its last point, ``converged`` and
+    ``gradient_norm`` there, and ``iterations``, the Newton steps it
+    accepted. Every stop reason is recorded at one point, after a pass's
+    gradient; a member whose line search reached the floor is recorded on
+    the next pass, at the point it could not leave.
+    The linear predictor computed for the objective at the accepted point,
+    and its exp(-|eta|), are carried into the next pass's gradient, so
+    each Newton point costs one product with the design and one exp.
 
     Finished members are compacted out of ``design``, ``labels`` and
     ``offset`` in place, so with B > 1 these must be writable arrays
@@ -323,18 +328,20 @@ def maximize_logistic_batch(
     center = np.zeros(p) if center is None else np.asarray(center, dtype=float)
     start = np.zeros(p) if start is None else np.asarray(start, dtype=float)
     penalty_hessian = np.diag(penalty)
-    running = (design, labels, offset)  # the rows of the members still running
 
     def objective(vec):
-        """The objective at ``vec``, its linear predictor and exp(-|eta|)."""
-        x, y, off = running
-        eta = off + _matvec(x, vec)
+        """The leading ``len(vec)`` members' objective at ``vec``, eta and exp(-|eta|)."""
+        k = len(vec)
+        eta = offset[:k] + _matvec(design[:k], vec)
         e = _exp_neg_abs(eta)
-        return _log_likelihood(y, eta, e) - 0.5 * _dot(penalty, (vec - center) ** 2), eta, e
+        value = _log_likelihood(labels[:k], eta, e) - 0.5 * _dot(penalty, (vec - center) ** 2)
+        return value, eta, e
 
     members = np.arange(batch)  # the member whose problem each row holds
     v = np.repeat(start[None], batch, axis=0)
     obj, eta, e = objective(v)
+    steps = np.zeros(batch, dtype=int)  # accepted Newton steps
+    stuck = np.zeros(batch, dtype=bool)  # the last line search reached its floor
     out = NewtonBatch(
         np.empty((batch, p)),
         np.empty(batch, dtype=bool),
@@ -342,87 +349,58 @@ def maximize_logistic_batch(
         np.empty(batch),
     )
 
-    def finish(rows, converged, gradient_norm, iteration) -> bool:
-        """Record the results of ``rows``; True when no member is left."""
-        done = members[rows]
-        out.x[done] = v[rows]
-        out.converged[done] = converged[rows]
-        out.iterations[done] = iteration
-        out.gradient_norm[done] = gradient_norm[rows]
-        return rows.all()
-
-    def drop(rows):
-        """Compact the members not in ``rows`` into the leading rows."""
-        nonlocal running, members, v, obj, eta, e
-        keep = np.flatnonzero(~rows)
-        _compact(keep, design, labels, offset)
-        running = (design[: len(keep)], labels[: len(keep)], offset[: len(keep)])
-        members, v, obj, eta, e = members[keep], v[keep], obj[keep], eta[keep], e[keep]
-        return keep
-
-    for iteration in range(max_iterations + 1):
-        x, y, _ = running
-        grad, prob = _gradient(x, y, eta, e)
+    while True:
+        k = len(v)
+        grad, prob = _gradient(design[:k], labels[:k], eta, e)
         grad -= penalty * (v - center)
         squared_norm = _dot(grad, grad)
         gradient_norm = np.sqrt(squared_norm)
         converged = gradient_norm <= gradient_tolerance
-        if iteration == max_iterations:
-            finish(np.ones(len(v), dtype=bool), converged, gradient_norm, iteration)
-            break
-        if converged.any():
-            if finish(converged, converged, gradient_norm, iteration):
-                break
-            keep = drop(converged)
-            grad, prob = grad[keep], prob[keep]
-            squared_norm, gradient_norm = squared_norm[keep], gradient_norm[keep]
-            x, y, _ = running
+        # a stuck row's point, eta and e are those its failed search started
+        # from, so this gradient is bitwise the one that search saw
+        done = converged | stuck | (steps == max_iterations)
+        if done.any():
+            finished = members[done]
+            out.x[finished] = v[done]
+            out.converged[finished] = converged[done]
+            out.iterations[finished] = steps[done]
+            out.gradient_norm[finished] = gradient_norm[done]
+            if done.all():
+                return out
+            keep = np.flatnonzero(~done)
+            _compact(keep, design, labels, offset)
+            members, v, obj, eta, e, steps = (a[keep] for a in (members, v, obj, eta, e, steps))
+            grad, prob, squared_norm = grad[keep], prob[keep], squared_norm[keep]
+            k = len(keep)
 
-        step = _newton_steps(_information(x, prob) + penalty_hessian, grad)
+        step = _newton_steps(_information(design[:k], prob) + penalty_hessian, grad)
         slope = _dot(grad, step)
         uphill = slope <= 0.0  # numerically not an ascent direction
         if uphill.any():
             step[uphill] = grad[uphill]
             slope[uphill] = squared_norm[uphill]
 
-        # Armijo step-halving, t = 1, 1/2, ... down to _MIN_STEP per member
+        # Armijo step-halving over _STEP_SIZES. Every row is evaluated at
+        # each t: selecting the searching rows would copy their designs, and
+        # an accepted row's value is not used.
         noise = _NOISE_EPS * (1.0 + np.abs(obj))
-        candidate = v + step
-        cand_obj, cand_eta, cand_e = objective(candidate)
-        accepted = cand_obj >= obj + _ARMIJO * slope - noise
-        if accepted.all():
-            v, obj, eta, e = candidate, cand_obj, cand_eta, cand_e
-        else:
-            t = np.ones(len(v))
-            searching = ~accepted
-            while True:
-                t[searching] /= 2.0
-                searching &= t >= _MIN_STEP
-                if not searching.any():
-                    break
-                # every row is evaluated: selecting the searching rows would
-                # copy their designs, and an accepted row's value is not used
-                trial = v + t[:, None] * step
-                trial_obj, trial_eta, trial_e = objective(trial)
-                accept = searching & (trial_obj >= obj + _ARMIJO * t * slope - noise)
-                candidate[accept] = trial[accept]
-                cand_obj[accept] = trial_obj[accept]
-                cand_eta[accept] = trial_eta[accept]
-                cand_e[accept] = trial_e[accept]
-                accepted |= accept
-                searching &= ~accept
-            v = np.where(accepted[:, None], candidate, v)
-            obj = np.where(accepted, cand_obj, obj)
-            eta = np.where(accepted[:, None], cand_eta, eta)
-            e = np.where(accepted[:, None], cand_e, e)
-
-        if not accepted.all():  # numerical floor reached; no further progress possible
-            stuck = ~accepted
-            if finish(stuck, np.zeros(len(v), dtype=bool), gradient_norm, iteration):
+        stuck = np.ones(k, dtype=bool)  # no step accepted yet
+        for t in _STEP_SIZES:
+            trial = v + t * step
+            trial_obj, trial_eta, trial_e = objective(trial)
+            accept = stuck & (trial_obj >= obj + _ARMIJO * t * slope - noise)
+            if accept.all():  # every row takes the full step: keep the trial arrays
+                v, obj, eta, e = trial, trial_obj, trial_eta, trial_e
+                stuck[:] = False
                 break
-            drop(stuck)
-
-    return out
+            v[accept] = trial[accept]
+            obj[accept] = trial_obj[accept]
+            eta[accept] = trial_eta[accept]
+            e[accept] = trial_e[accept]
+            stuck &= ~accept
+            if not stuck.any():
+                break
+        steps += ~stuck
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:

@@ -12,7 +12,7 @@ import pytest
 
 import scorelink.experiment as experiment_module
 import scorelink.links as links_module
-from scorelink import LabeledSample, SplitPlan, cli
+from scorelink import LabeledSample, LogisticParams, SplitPlan, cli
 from scorelink.dataset import split_rows, write_csv
 from scorelink.gaussian import apply_link, random_homoscedastic_pair, sample_mixture
 
@@ -514,6 +514,35 @@ class TestExitCodes:
         error = main_fails(capsys, command, "--data", german_csv, "--out", out)
         assert error == {"error": f"--out {out}: {file} is not a directory", "code": 2}
         assert file.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--params", "{narrow}", "--data", "{target}"],
+             "{target} has 19 features, but --params has 18"),
+            (["transfer", "--model", "M4", "--source-params", "{narrow}",
+              "--learning", "{target}"],
+             "{target} has 19 features, but --source-params has 18"),
+            (["transfer", "--model", "M7", "--source-data", "{wide}", "--learning", "{target}"],
+             "{target} has 19 features, but --source-data has 20"),
+        ],
+        ids=["evaluate-params", "transfer-source-params", "transfer-source-data"],
+    )
+    def test_width_mismatch_is_data_error(self, split_dir, tmp_path, capsys, argv, message):
+        """Parameters or source data of another width than the data they
+        are used with are a data error, found before any fit."""
+        paths = {
+            "target": split_dir / "target.csv",
+            "narrow": tmp_path / "narrow.json",
+            "wide": tmp_path / "wide.csv",
+        }
+        paths["narrow"].write_text(LogisticParams(0.0, np.zeros(18)).to_json())
+        rng = np.random.default_rng(0)
+        names = tuple(f"x{j}" for j in range(20))
+        write_csv(LabeledSample(rng.normal(size=(30, 20)), np.arange(30) % 2, names),
+                  paths["wide"])
+        error = main_fails(capsys, *(arg.format(**paths) for arg in argv))
+        assert error == {"error": message.format(**paths), "code": 3}
 
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))

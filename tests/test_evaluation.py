@@ -135,6 +135,25 @@ class TestRoc:
         with pytest.raises(DataError, match="finite"):
             roc([0.9, np.nan, 0.2, 0.7], [1, 1, 0, 0])
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1])
+    def test_score_outside_unit_interval_rejected(self, bad):
+        """A score beyond a threshold end would never cross it, and the
+        sweep would not span (0, 0) to (1, 1)."""
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            roc([0.2, 0.4, bad, 0.9], [0, 1, 1, 0])
+
+    @pytest.mark.parametrize(
+        "scores, labels, auc",
+        [([1.0, 0.5], [1, 0], 1.0), ([1.0, 0.5, 1.0], [1, 0, 0], 0.75),
+         ([0.0, 0.0, 0.5], [0, 1, 1], 0.75)],
+    )
+    def test_auc_counts_pairs_at_the_ends(self, scores, labels, auc):
+        """At scores of exactly 0 or 1 the AUC is still the share of
+        positive-negative pairs ranked correctly, ties counting half."""
+        curve = roc(scores, labels)
+        assert curve.auc == auc
+        assert (curve.miss_rate[-1], curve.specificity[-1]) == (1.0, 1.0)
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):
             roc([0.2, 0.8], [1, 1])

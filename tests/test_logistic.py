@@ -307,6 +307,7 @@ def newton_stacks(draw):
     "overflow" is separated by a column of size 1e200, whose squared
     gradient overflows, so its line search reaches the step floor; "slow"
     is separated by a column of size 1e50 and runs into the iteration cap.
+    A cap of 0 stops every member at its start, before any step.
     """
     n = draw(st.integers(6, 40))
     p = draw(st.integers(2, 4))
@@ -327,7 +328,7 @@ def newton_stacks(draw):
     settings = dict(
         penalty=np.full(p, draw(st.sampled_from([0.0, 1e-8, 0.5]))),
         center=rng.normal(size=p),
-        max_iterations=draw(st.sampled_from([1, 4, 30])),
+        max_iterations=draw(st.sampled_from([0, 1, 4, 30])),
         gradient_tolerance=draw(st.sampled_from([1e-8, 1e-4])),
     )
     settings["start"] = settings["center"]
@@ -443,6 +444,7 @@ class TestBatchedNewton:
         assert result.converged.tolist() == [True, True, True, False, False]
         assert result.iterations[2:].tolist() == [0, 0, 30]
         assert result.gradient_norm[3] == np.inf
+        assert_same_bits(result.x[3], np.zeros(3))  # overflow never left the start
 
 
 def single_product(design, prob):

@@ -6,10 +6,13 @@ number. The target column (``kredit``) is 1 for creditworthy borrowers and
 0 otherwise; the account-status column (``laufkont``) separates bank
 customers (value > 1) from non-customers (value = 1).
 
-A CSV body is read by numpy's C parser; a body it rejects, or whose table
-fails the label or finiteness check, is read again cell by cell with
-``float()``, which words the error with its row and column and accepts
-the few spellings ``loadtxt`` does not. Both give bitwise the same sample.
+A CSV body is read by numpy's C parser. A file is handed to it by path,
+past the header, so that its C reader pulls the text in chunks; given a
+stream, ``np.loadtxt`` would iterate it one Python line at a time. A body
+the parser rejects, or whose table fails the label or finiteness check,
+is read again cell by cell with ``float()``, which words the error with
+its row and column and accepts the few spellings ``loadtxt`` does not.
+Both give bitwise the same sample.
 
 Learning/test partitions are drawn with numpy's Philox bit generator
 (philox4x64), a published counter-based PRNG, keyed by
@@ -108,7 +111,8 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     """Load a numeric CSV with a header row into a LabeledSample.
 
     The target column supplies the binary label and is removed from the
-    feature set. numpy's C parser (``np.loadtxt``) reads the body; when it
+    feature set. numpy's C parser (``np.loadtxt``) reads the body, given
+    the path so that it reads the file in chunks; when it
     rejects the body, or its table fails a check, the file is read again
     row by row with ``float()``. That row loop accepts the cells
     ``loadtxt`` does not (``1_000``, full-width digits) and words every
@@ -120,7 +124,7 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            return _parse_csv(f, target_column, str(path))
+            return _parse_csv(f, target_column, str(path), path)
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -134,8 +138,14 @@ def load_german_credit() -> LabeledSample:
         return _parse_csv(f, DEFAULT_TARGET_COLUMN, "packaged german.csv")
 
 
-def _parse_csv(f, target_column: str, origin: str) -> LabeledSample:
-    """Parse the open text stream ``f`` (opened with ``newline=""``)."""
+# numpy opens a path through np.lib._datasource, which decompresses a file by
+# these suffixes; such a file is parsed from the stream this module opened
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _parse_csv(f, target_column: str, origin: str, path: Path | None = None) -> LabeledSample:
+    """Parse the open text stream ``f`` (opened with ``newline=""``), the
+    file at ``path`` if one is given."""
     reader = csv.reader(f)
     try:
         header = next(reader)
@@ -151,13 +161,26 @@ def _parse_csv(f, target_column: str, origin: str) -> LabeledSample:
     feature_names = tuple(h for k, h in enumerate(header) if k != target_idx)
 
     # the row loop rereads a body the C parser rejects, so a stream that
-    # cannot be rewound (a pipe) is read by the row loop alone
+    # cannot be rewound (a pipe) is read by the row loop alone. numpy reads a
+    # path in chunks but iterates a stream line by line, so a file goes by
+    # path, past the header's physical lines: a quoted header cell may hold
+    # a line break, and numpy's skiprows counts lines, as csv's line_num does.
     if f.seekable():
+        body, skip = f, 0
+        if path is not None and path.suffix not in _DECOMPRESSED_SUFFIXES:
+            body, skip = str(path), reader.line_num
         with warnings.catch_warnings():  # a header-only file is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
                 table = np.loadtxt(
-                    f, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
+                    body,
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    dtype=float,
+                    skiprows=skip,
+                    encoding="utf-8",
                 )
             except ValueError:
                 table = None

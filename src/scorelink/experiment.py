@@ -9,8 +9,11 @@ the three error rates over repetitions.
 A work unit is one learning size with a block of its repetitions: M2-M6
 are fitted for the whole block by one batched Newton call per model, and
 M7 by a few calls over chunks of it, each fit bitwise the one its
-repetition alone would get. After the fits, the block is evaluated in
-array passes: every fit's scores on its test split, the four confusion
+repetition alone would get. Every M7 refit starts one Newton step from
+the source fit, a step built from the source rows' gradient and
+information there, which the run computes once. After the fits, the
+block is evaluated in array passes: every fit's scores on its test
+split, the four confusion
 counts and the three rates of all (repetition, model) pairs at once, each
 bitwise what ``confusion`` and ``error_report`` give that pair alone.
 An error rate whose conditioning class is empty in a test split is
@@ -41,7 +44,14 @@ from . import __version__
 from .dataset import LabeledSample, SplitPlan, split_rows
 from .evaluation import RocCurve, _rates, _tally, roc, write_roc_csv, write_roc_svg
 from .exceptions import NumericalError
-from .links import LinkModelKind, _chunks, _m7_block, _transition_block
+from .links import (
+    LinkModelKind,
+    _chunks,
+    _m7_block,
+    _source_terms,
+    _SourceTerms,
+    _transition_block,
+)
 from .logistic import FitConfig, FitReport, LogisticParams, _matvec, fit_mle, score, sigmoid
 
 ALL_MODELS = tuple(LinkModelKind)
@@ -163,6 +173,7 @@ def _blocks(config: ExperimentConfig, dimension: int) -> list[tuple[int, range]]
 def _run_unit(
     source_sample: LabeledSample,
     source_params: LogisticParams,
+    source_terms: _SourceTerms,
     target: LabeledSample,
     config: ExperimentConfig,
     learning_size: int,
@@ -171,9 +182,10 @@ def _run_unit(
     """Records of one block of repetitions at one learning size.
 
     M2-M6 are fitted for the whole block by one batched Newton call per
-    model; M7, a refit on the pooled source rows started at the source
-    fit, by one call per chunk of the block within the cell budget. The
-    fits come back as arrays, and all of them are scored, tallied and
+    model; M7, a refit on the pooled source rows started from
+    ``source_terms`` (the source rows' gradient and information at the
+    source fit), by one call per chunk of the block within the cell
+    budget. The fits come back as arrays, and all of them are scored, tallied and
     turned into rates in array passes (:func:`_block_counts`,
     :func:`scorelink.evaluation._rates`).
     """
@@ -184,7 +196,7 @@ def _run_unit(
     features = np.take(target.features, learning_rows, axis=0)
     labels = np.take(target.labels, learning_rows, axis=0)
     blocks = [
-        _m7_block(source_sample, source_params, features, labels, config.fit)
+        _m7_block(source_sample, source_terms, features, labels, config.fit)
         if kind is LinkModelKind.M7
         else _transition_block(kind, source_params, features, labels, config.fit)
         for kind in config.models
@@ -249,10 +261,11 @@ def _block_counts(target, test_rows, intercepts, coefficients, threshold) -> np.
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(source_sample, source_params, target, config) -> None:
+def _worker_init(source_sample, source_params, source_terms, target, config) -> None:
     _WORKER_STATE.update(
         source_sample=source_sample,
         source_params=source_params,
+        source_terms=source_terms,
         target=target,
         config=config,
     )
@@ -263,6 +276,7 @@ def _worker_run(unit: tuple[int, range]) -> list[RepetitionRecord]:
     return _run_unit(
         _WORKER_STATE["source_sample"],
         _WORKER_STATE["source_params"],
+        _WORKER_STATE["source_terms"],
         _WORKER_STATE["target"],
         _WORKER_STATE["config"],
         learning_size,
@@ -292,6 +306,8 @@ def run_experiment(
     source_fit = fit_mle(source, config.fit)
     if not source_fit.converged:
         raise NumericalError("source fit did not converge")
+    # before any pooled M7 design exists, so that this source design adds no peak
+    source_terms = _source_terms(source, source_fit.params)
 
     units = _blocks(config, target.dimension)
     workers = min(jobs, len(units))
@@ -299,12 +315,13 @@ def run_experiment(
         with multiprocessing.Pool(
             workers,
             initializer=_worker_init,
-            initargs=(source, source_fit.params, target, config),
+            initargs=(source, source_fit.params, source_terms, target, config),
         ) as pool:
             batches = pool.map(_worker_run, units)
     else:
         batches = [
-            _run_unit(source, source_fit.params, target, config, n, block) for n, block in units
+            _run_unit(source, source_fit.params, source_terms, target, config, n, block)
+            for n, block in units
         ]
 
     model_order = {kind.value: i for i, kind in enumerate(config.models)}

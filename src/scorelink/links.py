@@ -26,8 +26,11 @@ the reparameterized design (columns ``b_j * x_j``) so the free parameters
 enter as ordinary logistic coefficients. M7 ignores the link structure
 and refits on the pooled rows, warm-started at the source fit: the MLE of
 all but the n learning rows, so a few Newton steps reach the pooled
-optimum. The link optimizations warm-start at the identity link and share
-the Newton contract of :func:`scorelink.logistic.fit_mle`, with the ridge
+optimum. The first of them is shared: the source rows' gradient and
+information at the source fit are computed once (``_SourceTerms``), and
+each refit adds those of its learning rows to take one exact Newton step
+before the engine runs. The link optimizations warm-start at the
+identity link and share the Newton contract of :func:`scorelink.logistic.fit_mle`, with the ridge
 applied to deviations from the identity: c^2, (lambda - 1)^2,
 sum_j (L_j - 1)^2.
 
@@ -49,15 +52,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import LabeledSample
-from .exceptions import NumericalError
+from .exceptions import DataError, NumericalError
 from .logistic import (
     _BLOCK_CELLS,
     FitConfig,
     LogisticParams,
     _class_errors,
+    _dot,
     _exp_neg_abs,
+    _gradient,
+    _information,
+    _intercept_design,
     _log_likelihood,
     _matvec,
+    _newton_steps,
     fit_mle,
     maximize_logistic_batch,
 )
@@ -372,6 +380,31 @@ def _link_design(shift_free, scale_kind, free, source, features, members):
     return design, offset
 
 
+class _SourceTerms(NamedTuple):
+    """The point v = (b0, b) that the pooled M7 refits start from, and the
+    source rows' unpenalized log-likelihood gradient (p,) and information
+    (p, p) there, p = d + 1."""
+
+    x: np.ndarray
+    gradient: np.ndarray
+    information: np.ndarray
+
+
+def _source_terms(source_sample: LabeledSample, start: LogisticParams) -> _SourceTerms:
+    """The _SourceTerms of ``source_sample`` at ``start``, from the Newton
+    engine's own kernels on its ``[1, X]`` design.
+
+    The sweep computes them once per run, at the source fit, before any
+    pooled design exists, so that the transient design adds nothing to
+    the run's peak memory.
+    """
+    design, _ = _intercept_design(source_sample, 0.0)
+    x = np.concatenate(([start.intercept], start.coefficients))
+    eta = _matvec(design, x)
+    gradient, prob = _gradient(design, source_sample.labels, eta, _exp_neg_abs(eta))
+    return _SourceTerms(x, gradient, _information(design, prob))
+
+
 def fit_m7(
     source_sample: LabeledSample,
     learning: LabeledSample,
@@ -379,17 +412,32 @@ def fit_m7(
 ) -> TransferFit:
     """Refit on all source rows pooled with the learning rows.
 
-    Newton starts at the source fit, as the sweep's refits do, or at zero
-    when the source alone has no fit (a single class at ridge 0); the
-    result is bitwise the sweep's, the block of one of its pooled refits.
-    A fit with no finite answer raises NumericalError.
+    The two samples must name the same features in the same order, since
+    their rows are pooled column by column; otherwise DataError names the
+    first column that differs. Newton starts at the source fit, as the
+    sweep's refits do, or at zero when the source alone has no fit (a
+    single class at ridge 0), and takes the sweep's shared first step from
+    there; the result is bitwise the sweep's, the block of one of its
+    pooled refits. A fit with no finite answer raises NumericalError.
     """
+    if source_sample.dimension == learning.dimension:  # else _m7_block words the error
+        pairs = zip(source_sample.feature_names, learning.feature_names)
+        for j, (source_name, name) in enumerate(pairs):
+            if name != source_name:
+                raise DataError(
+                    f"feature column {j + 1} is {name!r} in the learning sample "
+                    f"but {source_name!r} in the source sample"
+                )
     try:
         start = fit_mle(source_sample, config).params
     except NumericalError:
         start = LogisticParams(0.0, np.zeros(source_sample.dimension))
     block = _m7_block(
-        source_sample, start, learning.features[None], learning.labels[None], config
+        source_sample,
+        _source_terms(source_sample, start),
+        learning.features[None],
+        learning.labels[None],
+        config,
     )
     (fit,) = block.fits()
     if isinstance(fit, NumericalError):
@@ -399,20 +447,24 @@ def fit_m7(
 
 def _m7_block(source_sample, start, features, labels, config) -> _Block:
     """M7 fitted on each of a block of equal-size learning samples,
-    ``features`` (B, n, d) and ``labels`` (B, n), every Newton run
-    starting at the parameters ``start``; the sweep passes the source fit.
+    ``features`` (B, n, d) and ``labels`` (B, n), every refit starting
+    from ``start``, the _SourceTerms of ``source_sample`` at a point v;
+    the sweep passes those at the source fit.
 
-    The members go through the batched Newton engine in near-equal chunks,
-    each within ``_BLOCK_CELLS`` cells of its stacked pooled design, and
-    each fit started at the source fit is bitwise that of :func:`fit_m7`
-    on its sample alone. A member with no finite answer (a single class at
-    ridge 0, or fitted parameters that are not finite) gets its
-    NumericalError in place of a fit.
+    Each refit first takes one Newton step from v, all of them in one
+    batched call over the block's learning rows (:func:`_first_steps`),
+    and the engine then runs from there. The members go through the
+    engine in near-equal chunks, each within ``_BLOCK_CELLS`` cells of
+    its stacked pooled design, and each fit is bitwise that of
+    :func:`fit_m7` on its sample alone when ``start`` is what fit_m7
+    computes. A member with no finite answer (a single class at ridge 0,
+    or fitted parameters that are not finite) gets its NumericalError in
+    place of a fit.
     """
     d = source_sample.dimension
     if d < 1:
         raise ValueError("sample must have at least one feature")
-    for name, dimension in (("learning", features.shape[-1]), ("start", start.dimension)):
+    for name, dimension in (("learning", features.shape[-1]), ("start", len(start.x) - 1)):
         if dimension != d:
             raise ValueError(f"source dimension {d} does not match {name} dimension {dimension}")
 
@@ -430,10 +482,37 @@ def _m7_block(source_sample, start, features, labels, config) -> _Block:
     return _finish_block(LinkModelKind.M7, features, labels, errors, x[:, 0], x[:, 1:], converged)
 
 
+def _first_steps(start: _SourceTerms, features, labels, penalty) -> np.ndarray:
+    """Each member's Newton start (B, p): ``start.x`` plus one Newton step
+    of its pooled penalized problem from there.
+
+    Every member's pooled gradient and information at ``start.x`` are the
+    source rows' (``start``) plus those of its own learning rows,
+    ``features`` (B, n, d) and ``labels`` (B, n), which one batched call of
+    the engine's kernels computes for the whole block. The step is the
+    engine's own first Newton step from ``start.x``, except for the order
+    in which the rows are summed, and is taken in full, without a line
+    search; the engine's steps from there are safeguarded as usual. A
+    member whose step is not finite, or is not an ascent direction,
+    starts at ``start.x``.
+    """
+    count, n, d = features.shape
+    design = np.empty((count, n, d + 1))
+    design[..., 0] = 1.0
+    design[..., 1:] = features
+    eta = _matvec(design, start.x)
+    gradient, prob = _gradient(design, labels, eta, _exp_neg_abs(eta))
+    gradient = start.gradient + gradient - penalty * start.x
+    information = start.information + _information(design, prob) + np.diag(penalty)
+    step = _newton_steps(information, gradient)
+    ascent = np.isfinite(step).all(axis=1) & (_dot(gradient, step) > 0.0)
+    return np.where(ascent[:, None], start.x + step, start.x)
+
+
 def _pooled_fits(source_sample, start, features, labels, fitted, config):
     """The solutions and convergence flags of the pooled refits of the
     members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``, each
-    starting at ``start``'s (b0, b).
+    starting from its :func:`_first_steps` point.
 
     The pooled design ``[1, X]``, labels and offsets are allocated once per
     block, with the intercept column and the source rows written in once;
@@ -442,6 +521,8 @@ def _pooled_fits(source_sample, start, features, labels, fitted, config):
     member has the same source rows, so they stay intact.
     """
     (m, d), n = source_sample.features.shape, labels.shape[1]
+    penalty = np.concatenate(([0.0], np.full(d, config.ridge)))  # intercept free
+    starts = _first_steps(start, features[fitted], labels[fitted], penalty)
     chunks = _chunks(len(fitted), (m + n) * (d + 1))
     # each member a C-contiguous (m + n, d + 1) slab, the layout of the
     # single fit's design, so that BLAS sums every member in the same order
@@ -451,18 +532,20 @@ def _pooled_fits(source_sample, start, features, labels, fitted, config):
     pooled_labels = np.empty(design.shape[:2])
     pooled_labels[:, :m] = source_sample.labels
     offset = np.zeros(design.shape[:2])
-    newton = dict(
-        penalty=np.concatenate(([0.0], np.full(d, config.ridge))),  # intercept free
-        start=np.concatenate(([start.intercept], start.coefficients)),
-        max_iterations=config.max_iterations,
-        gradient_tolerance=config.gradient_tolerance,
-    )
     x = np.empty((len(fitted), d + 1))
     converged = np.empty(len(fitted), dtype=bool)
     for chunk in chunks:
         members, k = fitted[chunk.start : chunk.stop], len(chunk)
         design[:k, m:, 1:] = features[members]
         pooled_labels[:k, m:] = labels[members]
-        result = maximize_logistic_batch(design[:k], pooled_labels[:k], offset[:k], **newton)
+        result = maximize_logistic_batch(
+            design[:k],
+            pooled_labels[:k],
+            offset[:k],
+            penalty=penalty,
+            start=starts[chunk.start : chunk.stop],
+            max_iterations=config.max_iterations,
+            gradient_tolerance=config.gradient_tolerance,
+        )
         x[chunk], converged[chunk] = result.x, result.converged
     return x, converged

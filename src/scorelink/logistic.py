@@ -187,14 +187,15 @@ def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray, e: np.nda
 # Cells (rows x columns) that a transient array of a Newton call may hold:
 # the stacked design handed to the batched engine (the M6 design of a block
 # of repetitions, or the pooled M7 design of a chunk of one), the engine's
-# weighted copy z of it, the block's learning features and the link design's
-# scaled copy of them, each at most 8 bytes x 2**16 cells = 512 KiB. The
-# links keep the stacked designs within it by chunking (only a member larger
-# than the budget, such as a pooled M7 design on a large source, exceeds it,
-# as a chunk of its own); :func:`_row_sum` keeps z within it per member at
-# any design height by summing the gradient and the information over row
-# blocks. The experiment's scoring pass gathers test features and scores in
-# chunks within the same budget.
+# weighted copy z of it, the block's learning features, the link design's
+# scaled copy of them and their [1, X] design for M7's shared first step
+# (:func:`scorelink.links._first_steps`), each at most 8 bytes x 2**16
+# cells = 512 KiB. The links keep the stacked designs within it by chunking
+# (only a member larger than the budget, such as a pooled M7 design on a
+# large source, exceeds it, as a chunk of its own); :func:`_row_sum` keeps z
+# within it per member at any design height by summing the gradient and the
+# information over row blocks. The experiment's scoring pass gathers test
+# features and scores in chunks within the same budget.
 _BLOCK_CELLS = 2**16
 
 
@@ -298,17 +299,21 @@ def maximize_logistic_batch(
     """Newton maximization of a stack of independent penalized problems.
 
     ``design`` has shape (B, n, p), ``labels`` and ``offset`` shape
-    (B, n); ``penalty``, ``center`` and ``start`` (p,) are shared. Each
-    member is its own optimization. It stops once its gradient norm is
-    within ``gradient_tolerance``, when its line search reaches the step
-    floor, or after ``max_iterations`` steps. Every member starts at
-    ``start`` (zero by default); a start near the optimum, such as a fit
-    of most of the same rows, saves iterations and moves only the last
-    bits of the answer. A step solves the Newton system once, when a
-    Cholesky factorization shows the information positive definite,
-    falling back to least squares and then to the gradient if that fails,
-    and takes the gradient when the result is not an ascent direction;
-    step-halving then enforces the Armijo condition.
+    (B, n); ``penalty`` and ``center`` (p,) are shared. Each member is its
+    own optimization. It stops once its gradient norm is within
+    ``gradient_tolerance``, when its line search reaches the step floor,
+    or after ``max_iterations`` steps. It starts at ``start``, zero by
+    default: one (p,) point for every member, or a (B, p) stack of a
+    point per member. Either way the engine copies it into a C-contiguous
+    (B, p) array, so that each member's products with the design see the
+    layout of the member alone, whatever the layout of ``start``. A start
+    near the optimum, such as a fit of most of the same rows, saves
+    iterations and moves only the last bits of the answer. A step solves
+    the Newton system once, when a Cholesky factorization shows the
+    information positive definite, falling back to least squares and then
+    to the gradient if that fails, and takes the gradient when the result
+    is not an ascent direction; step-halving then enforces the Armijo
+    condition.
     The result holds member b's fields in row b, each bitwise those of the
     batch holding member b alone: ``x``, its last point, ``converged`` and
     ``gradient_norm`` there, and ``iterations``, the Newton steps it
@@ -338,7 +343,7 @@ def maximize_logistic_batch(
         return value, eta, e
 
     members = np.arange(batch)  # the member whose problem each row holds
-    v = np.repeat(start[None], batch, axis=0)
+    v = np.array(np.broadcast_to(start, (batch, p)), order="C")
     obj, eta, e = objective(v)
     steps = np.zeros(batch, dtype=int)  # accepted Newton steps
     stuck = np.zeros(batch, dtype=bool)  # the last line search reached its floor

@@ -13,7 +13,7 @@ import pytest
 import scorelink.experiment as experiment_module
 import scorelink.links as links_module
 from scorelink import LabeledSample, LogisticParams, SplitPlan, cli
-from scorelink.dataset import split_rows, write_csv
+from scorelink.dataset import load_csv, split_rows, write_csv
 from scorelink.gaussian import apply_link, random_homoscedastic_pair, sample_mixture
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -139,6 +139,23 @@ class TestTransfer:
         data = json.loads(proc.stdout)
         assert data["model"] == "M7"
         assert "c" not in data
+
+    def test_m7_source_columns_must_match(self, split_dir, tmp_path, capsys):
+        """Source rows are pooled column by column, so a source file whose
+        first two columns are swapped, names and values together, is a data
+        error that names the first column that differs."""
+        source = load_csv(split_dir / "source.csv")
+        order = [1, 0, *range(2, source.dimension)]
+        names = tuple(source.feature_names[j] for j in order)
+        swapped = tmp_path / "swapped.csv"
+        write_csv(LabeledSample(source.features[:, order], source.labels, names), swapped)
+        error = main_fails(capsys, "transfer", "--model", "M7", "--source-data", swapped,
+                           "--learning", split_dir / "target.csv")
+        assert error == {
+            "error": "feature column 1 is 'laufzeit' in the learning sample "
+                     "but 'moral' in the source sample",
+            "code": 3,
+        }
 
 
 class TestEvaluate:

@@ -21,6 +21,7 @@ from scorelink import (
 )
 from scorelink import dataset as dataset_module
 from scorelink.dataset import _format_number, _parse_csv, file_sha256, write_csv
+from scorelink.gaussian import random_homoscedastic_pair, sample_mixture
 
 
 def write_lines(tmp_path, name, lines):
@@ -203,13 +204,60 @@ class TestParsePaths:
                 load_csv(path)
         assert caught == []
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("plain.csv", "a,b,kredit\n1,2,1\n3,4,0\n"),
+            ("crlf.csv", "a,b,kredit\r\n1,2,1\r\n3,4,0\r\n"),
+            ("cr-only.csv", "a,b,kredit\r1,2,1\r3,4,0\r"),
+            ("newline-header.csv", 'a,"b\nc",kredit\n1,2,1\n3,4,0\n'),
+            ("crlf-newline-header.csv", 'a,"b\r\nc",kredit\r\n1,2,1\r\n3,4,0\r\n'),
+            ("plain.gz", "a,b,kredit\n1,2,1\n3,4,0\n"),
+        ],
+        ids=["plain", "crlf", "cr-only", "newline-header", "crlf-newline-header",
+             "compression-suffix"],
+    )
+    def test_file_is_read_by_path(self, tmp_path, monkeypatch, name, text):
+        """A file goes to np.loadtxt as its path, past the header's
+        physical lines, and its sample is bitwise the row loop's. A file
+        named like a compressed one, which numpy's path reader would
+        decompress, goes as the open stream."""
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        expected = row_loop(text)
+        loadtxt, bodies = np.loadtxt, []
+
+        def recording(body, *args, **kwargs):
+            bodies.append(body)
+            return loadtxt(body, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_module.np, "loadtxt", recording)
+        monkeypatch.setattr(dataset_module, "_parse_rows", None)
+        assert_bitwise(load_csv(path), expected)
+        (body,) = bodies
+        if path.suffix == ".gz":
+            assert not isinstance(body, str)
+        else:
+            assert body == str(path)
+
+    def test_gaussian_table_is_read_by_path(self, tmp_path, monkeypatch):
+        """A few thousand rows of a Gaussian mixture, written by write_csv,
+        read through numpy by path, bitwise as the row loop reads them."""
+        spec, _ = random_homoscedastic_pair(6, np.random.default_rng(4))
+        path = tmp_path / "mixture.csv"
+        write_csv(sample_mixture(spec, 3000, seed=4), path)
+        expected = row_loop(path.read_text(encoding="utf-8"))
+        monkeypatch.setattr(dataset_module, "_parse_rows", None)
+        assert_bitwise(load_csv(path), expected)
+
     def test_german_is_read_by_the_c_parser(self, german, monkeypatch):
         """The packaged file needs no row loop, and the C parser's sample is
-        bitwise the row loop's."""
-        text = (Path(dataset_module.__file__).parent / "data" / "german.csv").read_text("utf-8")
-        expected = row_loop(text)
+        bitwise the row loop's, read from the packaged stream or by path."""
+        path = Path(dataset_module.__file__).parent / "data" / "german.csv"
+        expected = row_loop(path.read_text("utf-8"))
         monkeypatch.setattr(dataset_module, "_parse_rows", None)
         assert_bitwise(dataset_module.load_german_credit(), expected)
+        assert_bitwise(load_csv(path), expected)
         assert_bitwise(german, expected)
 
 

@@ -51,6 +51,13 @@ def small_result(source, target, small_config):
     return run_experiment(source, target, small_config)
 
 
+def run_unit(source, source_params, target, config, size, repetitions):
+    """The records of _run_unit, its M7 refits started from the source rows'
+    terms at ``source_params``, as run_experiment starts them."""
+    terms = links_module._source_terms(source, source_params)
+    return _run_unit(source, source_params, terms, target, config, size, repetitions)
+
+
 def read_dir(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -236,11 +243,12 @@ class TestOutputs:
 
 # sha256 of the `scorelink experiment --sizes 50,200 --repetitions 5` outputs
 # on the packaged german.csv (seed 0). Frozen; the raw-records digest was
-# re-pinned twice, when M7 began at the source fit and a Newton step took one
-# linear solve, and when the kernel took one exp per Newton point and summed
-# the gradient and a symmetric information over row blocks.
+# re-pinned three times: when M7 began at the source fit and a Newton step
+# took one linear solve, when the kernel took one exp per Newton point and
+# summed the gradient and a symmetric information over row blocks, and when
+# every M7 refit began one shared Newton step from the source fit.
 GOLDEN_SHA256 = {
-    "raw_records.csv": "b4087385e7c8088439cf013ff4af79a26e417697530d4cfdd0d775a6ca4663c6",
+    "raw_records.csv": "3e5b504c32ba67764bde790d20a5ce18a4b26b8842bdddfbe531d33d02bcf264",
     "tables_test_error.csv": "2564b04dbbec654bf193c6b60c15e47bb0f8b82dcd6a5fd39eeef7d28f7fcdf7",
     "tables_type_i.csv": "ab79c732a0929d7bd23ff5dab0afdc062f6cbcd57183f3b28a69f47b116dc787",
     "tables_type_ii.csv": "9f2aea02a3d8e60da8d0456b21f186b1ed6cdb30af5a1ba84addc7a973703df7",
@@ -318,7 +326,7 @@ def per_repetition(source, source_params, target, config, size):
     return [
         rec
         for r in range(config.repetitions)
-        for rec in _run_unit(source, source_params, target, config, size, range(r, r + 1))
+        for rec in run_unit(source, source_params, target, config, size, range(r, r + 1))
     ]
 
 
@@ -382,7 +390,7 @@ class TestBlockFailures:
         config = ExperimentConfig(learning_sizes=(6,), repetitions=8, seed=3, fit=FitConfig(ridge=0.0))
         params = fit_mle(source, config.fit).params
 
-        block = _run_unit(source, params, target, config, 6, range(8))
+        block = run_unit(source, params, target, config, 6, range(8))
         assert same_records(block, per_repetition(source, params, target, config, 6))
         failed = {(r.repetition, r.model) for r in block if r.failed}
         single_class = {r for r, _ in failed}
@@ -400,7 +408,7 @@ class TestBlockFailures:
             return result
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", corrupting)
-        block = _run_unit(source, source_fit.params, target, config, 50, range(4))
+        block = run_unit(source, source_fit.params, target, config, 50, range(4))
         failed = {(r.repetition, r.model) for r in block if r.failed}
         assert failed == {(1, f"M{k}") for k in range(2, 8)}
         kept = [r for r in block if (r.repetition, r.model) not in failed]
@@ -562,7 +570,7 @@ class TestBlockRecords:
         source, target, config = sweep
         n = config.learning_sizes[0]
         params = fit_mle(source, config.fit).params
-        records = _run_unit(source, params, target, config, n, range(config.repetitions))
+        records = run_unit(source, params, target, config, n, range(config.repetitions))
         plan = SplitPlan(n, config.repetitions, config.seed)
         for record in records:
             learning, test = draw_split(target, plan, record.repetition)

@@ -58,11 +58,13 @@ def synthetic_sample(params, n, rng):
 def block_fits(kind, source, source_sample, learnings, config=FitConfig()):
     """The fits of ``kind`` on the block of features and labels stacked
     from ``learnings``, a TransferFit or NumericalError per member; M7's
-    pooled refits start at ``source``, as the sweep's start at its fit."""
+    pooled refits start from the source rows' terms at ``source``, as the
+    sweep's start from those at its fit."""
     features = np.stack([learning.features for learning in learnings])
     labels = np.stack([learning.labels for learning in learnings])
     if kind is LinkModelKind.M7:
-        return links_module._m7_block(source_sample, source, features, labels, config).fits()
+        terms = links_module._source_terms(source_sample, source)
+        return links_module._m7_block(source_sample, terms, features, labels, config).fits()
     return links_module._transition_block(kind, source, features, labels, config).fits()
 
 
@@ -507,6 +509,17 @@ class TestM7:
         with pytest.raises(ValueError, match="does not match"):
             fit_m7(source, other)
 
+    def test_feature_names_must_match(self, source, target):
+        """The rows are pooled by column, so the samples must name the same
+        features in the same order."""
+        learning, _ = draw_split(target, SplitPlan(50, 1, seed=5), 0)
+        names = list(learning.feature_names)
+        names[3] = "other"
+        renamed = LabeledSample(learning.features, learning.labels, names)
+        with pytest.raises(DataError, match="feature column 4 is 'other' in the learning "
+                                            "sample but 'hoehe' in the source sample"):
+            fit_m7(source, renamed)
+
 
 def zero_first_column(sample):
     features = sample.features.copy()
@@ -520,8 +533,7 @@ def zero_start(dimension):
 
 @st.composite
 def m7_blocks(draw):
-    """A source sample, a Newton start (zero, or the parameters the samples
-    are drawn from), a block of equal-size learning samples, a fit config
+    """A source sample, a block of equal-size learning samples, a fit config
     and a cell budget that holds 1 to 4 pooled members per chunk.
 
     Block sizes run past the chunk size without being multiples of it.
@@ -534,7 +546,6 @@ def m7_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     truth = LogisticParams(rng.normal(scale=0.5), rng.normal(size=d))
     source = synthetic_sample(truth, draw(st.integers(40, 120)), rng)
-    start = truth if draw(st.booleans()) else zero_start(d)
     n = draw(st.integers(5, 30))
     learnings = [synthetic_sample(truth, n, rng) for _ in range(draw(st.integers(1, 9)))]
     zero = draw(st.lists(st.booleans(), min_size=len(learnings), max_size=len(learnings)))
@@ -545,12 +556,21 @@ def m7_blocks(draw):
         ridge = 0.0
     member_cells = (source.n_records + n) * (d + 1)
     budget = draw(st.integers(1, 4)) * member_cells + draw(st.integers(0, member_cells - 1))
-    return source, start, learnings, FitConfig(ridge=ridge), budget
+    return source, learnings, FitConfig(ridge=ridge), budget
+
+
+def fit_m7_start(source, config):
+    """The point fit_m7 starts from: the source fit, or zero without one."""
+    try:
+        return fit_mle(source, config).params
+    except NumericalError:
+        return zero_start(source.dimension)
 
 
 def pooled_fit(source, learning, config, start):
     """The pooled refit as fit_mle's one-problem Newton run on the stacked
-    rows, started at ``start``: its parameters and convergence flag."""
+    rows, started at ``start`` without a shared first step: its parameters,
+    convergence flag and Newton iterations."""
     pooled = LabeledSample(
         np.vstack([source.features, learning.features]),
         np.concatenate([source.labels, learning.labels]),
@@ -566,7 +586,8 @@ def pooled_fit(source, learning, config, start):
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
     )
-    return LogisticParams(result.x[0, 0], result.x[0, 1:]), bool(result.converged[0])
+    params = LogisticParams(result.x[0, 0], result.x[0, 1:])
+    return params, bool(result.converged[0]), int(result.iterations[0])
 
 
 def params_bits(params):
@@ -577,27 +598,18 @@ class TestM7Blocks:
     @settings(max_examples=40)
     @given(m7_blocks())
     def test_member_equals_fit_m7_alone(self, block):
-        """Every member of a chunked block is bitwise the one-problem Newton
-        run on the stacked pooled rows from the block's start; started at
-        the source fit, as the sweep starts, it is bitwise fit_m7 on its
-        sample alone."""
-        source, start, learnings, config, budget = block
+        """Every member of a chunked block, started from fit_m7's start, is
+        bitwise fit_m7 on its sample alone: the shared first step is taken
+        for the whole block in one call and the engine runs per chunk, and
+        neither moves a member's bits."""
+        source, learnings, config, budget = block
+        start = fit_m7_start(source, config)
         with mock.patch.object(links_module, "_BLOCK_CELLS", budget):
             fits = block_fits(LinkModelKind.M7, start, source, learnings, config)
-            swept = block_fits(
-                LinkModelKind.M7, fit_mle(source, config).params, source, learnings, config
-            )
-        for fit, swept_fit, learning in zip(fits, swept, learnings):
-            params, converged = pooled_fit(source, learning, config, start)
-            assert params_bits(fit.target_params) == params_bits(params)
-            assert fit.converged == converged
-            assert fit.log_likelihood == log_likelihood(params, learning)
+        for fit, learning in zip(fits, learnings):
             alone = fit_m7(source, learning, config)
-            assert params_bits(swept_fit.target_params) == params_bits(alone.target_params)
-            assert (swept_fit.converged, swept_fit.log_likelihood) == (
-                alone.converged,
-                alone.log_likelihood,
-            )
+            assert params_bits(fit.target_params) == params_bits(alone.target_params)
+            assert (fit.converged, fit.log_likelihood) == (alone.converged, alone.log_likelihood)
 
     def test_zero_column_member_takes_least_squares(self, rng, monkeypatch):
         truth = LogisticParams(0.3, np.array([0.8, -1.0]))
@@ -637,14 +649,28 @@ class TestM7Blocks:
 
 
 class TestM7Start:
+    @pytest.fixture(scope="class")
+    def blocks(self, source, target):
+        """The German sweep's learning blocks at n = 50 and 200: for each,
+        the split rows and the stacked features and labels."""
+        out = {}
+        for n in (50, 200):
+            plan = SplitPlan(n, 50, seed=0)
+            rows = [split_rows(target, plan, r) for r in range(plan.repetitions)]
+            features = np.take(target.features, [learning for learning, _ in rows], axis=0)
+            labels = np.take(target.labels, [learning for learning, _ in rows], axis=0)
+            out[n] = rows, features, labels
+        return out
+
     def test_start_moves_no_count_and_saves_iterations(
-        self, source, source_fit, target, monkeypatch
+        self, source, source_fit, target, blocks, monkeypatch
     ):
-        """On the German sweep's blocks at n = 50 and 200, M7 from zero and
-        from the source fit reach the same optimum: equal confusion counts on
-        every test split and log-likelihoods within 1e-9. The warm start
-        takes strictly fewer Newton member-iterations in total, counted from
-        the engine's NewtonBatch arrays."""
+        """On the German sweep's blocks at n = 50 and 200, M7 with the
+        shared first step reaches the optimum of the engine run from the
+        source fit on each pooled design: equal confusion counts on every
+        test split and log-likelihoods within 1e-9. It takes strictly fewer
+        Newton member-iterations in total, counted from the engine's
+        NewtonBatch arrays; the shared step is not counted."""
         engine, iterations = links_module.maximize_logistic_batch, []
 
         def counting(*args, **kwargs):
@@ -653,31 +679,51 @@ class TestM7Start:
             return result
 
         monkeypatch.setattr(links_module, "maximize_logistic_batch", counting)
+        config = FitConfig()
+        terms = links_module._source_terms(source, source_fit.params)
         totals = {}
-        for n in (50, 200):
-            plan = SplitPlan(n, 50, seed=0)
-            rows = [split_rows(target, plan, r) for r in range(plan.repetitions)]
-            features = np.take(target.features, [learning for learning, _ in rows], axis=0)
-            labels = np.take(target.labels, [learning for learning, _ in rows], axis=0)
-            blocks = []
-            for name, start in (("zero", zero_start(source.dimension)), ("warm", source_fit.params)):
-                iterations.clear()
-                blocks.append(links_module._m7_block(source, start, features, labels, FitConfig()))
-                totals[n, name] = sum(iterations)
-            assert all(block.converged == [True] * plan.repetitions for block in blocks)
+        for n, (rows, features, labels) in blocks.items():
+            block = links_module._m7_block(source, terms, features, labels, config)
+            totals[n, "shared step"] = sum(iterations)
+            iterations.clear()
+            learnings = [LabeledSample(x, y, source.feature_names) for x, y in zip(features, labels)]
+            plain = [pooled_fit(source, s, config, source_fit.params) for s in learnings]
+            totals[n, "engine alone"] = sum(steps for _, _, steps in plain)
+            assert block.converged == [True] * len(rows)
+            assert all(converged for _, converged, _ in plain)
+            params = [fit for fit, _, _ in plain]
             counts = experiment_module._block_counts(
                 target,
                 np.array([test for _, test in rows]),
-                np.stack([block.intercepts for block in blocks]),
-                np.stack([block.coefficients for block in blocks]),
+                np.stack([block.intercepts, [p.intercept for p in params]]),
+                np.stack([block.coefficients, [p.coefficients for p in params]]),
                 ExperimentConfig().threshold,
             )
             np.testing.assert_array_equal(counts[:, 0], counts[:, 1])
-            gap = np.subtract(*(block.log_likelihoods for block in blocks))
-            assert np.abs(gap).max() <= 1e-9
-        print("M7 member-iterations, zero start -> source fit:", totals)
-        for n in (50, 200):
-            assert totals[n, "warm"] < totals[n, "zero"]
+            plain_likelihoods = [log_likelihood(p, s) for p, s in zip(params, learnings)]
+            assert np.abs(np.subtract(block.log_likelihoods, plain_likelihoods)).max() <= 1e-9
+        print("M7 member-iterations, engine from the source fit -> shared step:", totals)
+        for n in blocks:
+            assert totals[n, "shared step"] < totals[n, "engine alone"]
+
+    def test_shared_step_is_the_engines_first_step(self, source, source_fit, blocks):
+        """The shared first step, built from the source rows' terms and each
+        member's learning rows, is the engine's own first Newton step on the
+        pooled design, up to the order of the row sums."""
+        config = FitConfig()
+        terms = links_module._source_terms(source, source_fit.params)
+        penalty = np.concatenate(([0.0], np.full(source.dimension, config.ridge)))
+        for rows, features, labels in blocks.values():
+            starts = links_module._first_steps(terms, features, labels, penalty)
+            for start, x, y in zip(starts, features, labels):
+                learning = LabeledSample(x, y, source.feature_names)
+                one_step = FitConfig(max_iterations=1)
+                params, _, steps = pooled_fit(source, learning, one_step, source_fit.params)
+                assert steps == 1
+                np.testing.assert_allclose(
+                    start, np.concatenate(([params.intercept], params.coefficients)),
+                    rtol=1e-9, atol=1e-12,
+                )
 
 
 @st.composite
@@ -718,7 +764,7 @@ class TestBlockUnpacking:
 
 
 # sha256 of the M1-M7 block fits of golden_blocks(), as fits_digest hashes them
-BLOCK_FITS_SHA256 = "8d20ca235d6186c0fc2555e0fae70e7ee7151f673a936becf80c21ad0e6ff54c"
+BLOCK_FITS_SHA256 = "14bc4e73e23aac6b372d73afcc68d57858470a322c03ad3b9921e14c01cdc2cb"
 # M7 chunks of two members: the pooled design of a member has (40 + 20) x (d + 1) cells
 GOLDEN_M7_CELLS = 2 * (40 + 20)
 
@@ -766,11 +812,12 @@ class TestBlockDigest:
     def test_block_fits_are_pinned(self, monkeypatch):
         """The M1-M7 block fits of golden_blocks() hash to BLOCK_FITS_SHA256.
 
-        The digest pins every bit of these fits, M7's started at the
-        block's source parameters. It was re-pinned when M7 began at the
-        source fit and a Newton step took one linear solve, and again when
-        the kernel took one exp per Newton point and summed the gradient
-        and a symmetric information over row blocks; only such a
+        The digest pins every bit of these fits, M7's started from the
+        source rows' terms at the block's source parameters. It was
+        re-pinned when M7 began at the source fit and a Newton step took
+        one linear solve, when the kernel took one exp per Newton point
+        and summed the gradient and a symmetric information over row
+        blocks, and when M7 took a shared first Newton step; only such a
         deliberate numerical re-baseline updates it, and says so in
         CHANGES.md.
         """

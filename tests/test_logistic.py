@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -414,6 +415,50 @@ class TestBatchedNewton:
                     assert_same_bits(batch.x[b], want.x)
                     assert got == (want.converged, want.iterations), kind
                     assert_same_bits(batch.gradient_norm[b], want.gradient_norm)
+
+    @given(newton_stacks(), st.booleans())
+    def test_member_starts(self, stack, fortran):
+        """With a (B, p) start, each member's result is bitwise that of the
+        member fitted alone from its own start, also when the starts are
+        stored column-major; the points the engine evaluates stay
+        C-contiguous. A (p,) start gives bitwise the (B, p) stack of its
+        copies."""
+        kinds, design, labels, offset, settings = stack
+        n, p = design.shape[1:]
+        starts = settings["start"] + offset[:, :p]  # a distinct start per member
+        if fortran:
+            starts = np.asfortranarray(starts)
+        matvec, layouts = logistic_module._matvec, []
+
+        def recording(matrix, vector):
+            if matrix.shape[-2:] == (n, p):  # the objective's design @ v
+                layouts.append(vector.flags.c_contiguous)
+            return matvec(matrix, vector)
+
+        def run(start):
+            batch_settings = dict(settings, start=start)
+            return maximize_logistic_batch(
+                design.copy(order="K"), labels.copy(), offset.copy(), **batch_settings
+            )
+
+        with np.errstate(all="ignore"), mock.patch.object(logistic_module, "_matvec", recording):
+            batch = run(starts)
+            shared = run(settings["start"])
+            copies = run(np.tile(settings["start"], (len(kinds), 1)))
+        assert layouts and all(layouts)
+        for field in NewtonBatch._fields:
+            assert_same_bits(getattr(shared, field), getattr(copies, field))
+        with np.errstate(all="ignore"):
+            for b in range(len(kinds)):
+                alone = maximize_logistic(
+                    design[b], labels[b], offset[b], **dict(settings, start=starts[b])
+                )
+                assert_same_bits(batch.x[b], alone.x)
+                assert (bool(batch.converged[b]), int(batch.iterations[b])) == (
+                    alone.converged,
+                    alone.iterations,
+                )
+                assert_same_bits(batch.gradient_norm[b], alone.gradient_norm)
 
     def test_each_exit_and_fallback_is_taken(self, monkeypatch):
         """The special members of the property test do what it says they do."""

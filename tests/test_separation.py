@@ -16,10 +16,12 @@ intercept alone, separated only by a single-class sample.
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from scorelink import FitConfig, LinkModelKind, estimate_transition
 from scorelink.dataset import SplitPlan, draw_split
+
+# scipy comes with the "test" extra; without it this module skips
+linprog = pytest.importorskip("scipy.optimize").linprog
 
 SIZES = (50, 100, 150, 200)
 REPETITIONS = 50

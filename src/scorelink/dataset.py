@@ -6,13 +6,12 @@ number. The target column (``kredit``) is 1 for creditworthy borrowers and
 0 otherwise; the account-status column (``laufkont``) separates bank
 customers (value > 1) from non-customers (value = 1).
 
-A CSV body is read by numpy's C parser. A file is handed to it by path,
-past the header, so that its C reader pulls the text in chunks; given a
-stream, ``np.loadtxt`` would iterate it one Python line at a time. A body
-the parser rejects, or whose table fails the label or finiteness check,
-is read again cell by cell with ``float()``, which words the error with
-its row and column and accepts the few spellings ``loadtxt`` does not.
-Both give bitwise the same sample.
+A CSV body is read by numpy's C parser, handed the file by path, past the
+header, so that its C reader pulls the text in chunks. A body the parser
+rejects, or whose table fails the label or finiteness check, is read
+cell by cell with ``float()``, which words the error with its row and
+column and accepts the few spellings ``loadtxt`` does not. Both give
+bitwise the same sample.
 
 Learning/test partitions are drawn with numpy's Philox bit generator
 (philox4x64), a published counter-based PRNG, keyed by
@@ -111,20 +110,24 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     """Load a numeric CSV with a header row into a LabeledSample.
 
     The target column supplies the binary label and is removed from the
-    feature set. numpy's C parser (``np.loadtxt``) reads the body, given
-    the path so that it reads the file in chunks; when it
-    rejects the body, or its table fails a check, the file is read again
+    feature set. A leading UTF-8 byte-order mark is read as encoding, not
+    as part of the first column name. numpy's C parser (``np.loadtxt``)
+    reads the body, given the path so that it reads the file in chunks;
+    when it rejects the body, or its table fails a check, the body is read
     row by row with ``float()``. That row loop accepts the cells
     ``loadtxt`` does not (``1_000``, full-width digits) and words every
-    error. Raises DataError for a missing, unreadable or non-UTF-8 file, a
-    header naming a column twice, a missing target column, an unparseable
-    or non-finite cell (reported with row and column, blank lines
-    counted), a label other than 0 or 1, or an empty table.
+    error. It alone reads a file that cannot be read twice (a pipe) and
+    one named like a compressed file (``.gz``, ``.bz2``, ``.xz``,
+    ``.lzma``), which numpy would decompress. Raises DataError for a
+    missing, unreadable or non-UTF-8 file, a header naming a column twice,
+    a missing target column, an unparseable or non-finite cell (reported
+    with row and column, blank lines counted), a label other than 0 or 1,
+    or an empty table.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            return _parse_csv(f, target_column, str(path), path)
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            return _parse_csv(f, target_column, path)
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -133,19 +136,19 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
 
 def load_german_credit() -> LabeledSample:
     """Load the packaged numeric German credit file (1000 rows, 21 columns)."""
-    data = resources.files("scorelink").joinpath("data/german.csv")
-    with data.open("r", newline="", encoding="utf-8") as f:
-        return _parse_csv(f, DEFAULT_TARGET_COLUMN, "packaged german.csv")
+    with resources.as_file(resources.files("scorelink").joinpath("data/german.csv")) as path:
+        return load_csv(path)
 
 
 # numpy opens a path through np.lib._datasource, which decompresses a file by
-# these suffixes; such a file is parsed from the stream this module opened
+# these suffixes; such a file is read by the row loop
 _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _parse_csv(f, target_column: str, origin: str, path: Path | None = None) -> LabeledSample:
-    """Parse the open text stream ``f`` (opened with ``newline=""``), the
-    file at ``path`` if one is given."""
+def _parse_csv(f, target_column: str, path: Path) -> LabeledSample:
+    """Parse the file at ``path``, open as the text stream ``f`` (opened
+    with ``newline=""``)."""
+    origin = str(path)
     reader = csv.reader(f)
     try:
         header = next(reader)
@@ -160,26 +163,21 @@ def _parse_csv(f, target_column: str, origin: str, path: Path | None = None) -> 
     target_idx = header.index(target_column)
     feature_names = tuple(h for k, h in enumerate(header) if k != target_idx)
 
-    # the row loop rereads a body the C parser rejects, so a stream that
-    # cannot be rewound (a pipe) is read by the row loop alone. numpy reads a
-    # path in chunks but iterates a stream line by line, so a file goes by
-    # path, past the header's physical lines: a quoted header cell may hold
-    # a line break, and numpy's skiprows counts lines, as csv's line_num does.
-    if f.seekable():
-        body, skip = f, 0
-        if path is not None and path.suffix not in _DECOMPRESSED_SUFFIXES:
-            body, skip = str(path), reader.line_num
+    # numpy reads the file past the header's physical lines: a quoted header
+    # cell may hold a line break, and numpy's skiprows counts lines, as csv's
+    # line_num does. ``f`` stays past the header for the row loop.
+    if f.seekable() and path.suffix not in _DECOMPRESSED_SUFFIXES:
         with warnings.catch_warnings():  # a header-only file is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
                 table = np.loadtxt(
-                    body,
+                    str(path),
                     delimiter=",",
                     comments=None,
                     quotechar='"',
                     ndmin=2,
                     dtype=float,
-                    skiprows=skip,
+                    skiprows=reader.line_num,
                     encoding="utf-8",
                 )
             except ValueError:
@@ -189,8 +187,6 @@ def _parse_csv(f, target_column: str, origin: str, path: Path | None = None) -> 
             features = np.delete(table, target_idx, axis=1)
             if np.all((labels == 0) | (labels == 1)) and np.isfinite(features).all():
                 return LabeledSample(features, labels.astype(int), feature_names)
-        f.seek(0)
-        next(reader)
     return _parse_rows(reader, header, target_idx, feature_names, origin)
 
 

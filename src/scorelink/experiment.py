@@ -171,9 +171,7 @@ def _blocks(config: ExperimentConfig, dimension: int) -> list[tuple[int, range]]
 
 
 def _run_unit(
-    source_sample: LabeledSample,
-    source_params: LogisticParams,
-    source_terms: _SourceTerms,
+    source: _SourceTerms,
     target: LabeledSample,
     config: ExperimentConfig,
     learning_size: int,
@@ -181,13 +179,13 @@ def _run_unit(
 ) -> list[RepetitionRecord]:
     """Records of one block of repetitions at one learning size.
 
-    M2-M6 are fitted for the whole block by one batched Newton call per
-    model; M7, a refit on the pooled source rows started from
-    ``source_terms`` (the source rows' gradient and information at the
-    source fit), by one call per chunk of the block within the cell
-    budget. The fits come back as arrays, and all of them are scored, tallied and
-    turned into rates in array passes (:func:`_block_counts`,
-    :func:`scorelink.evaluation._rates`).
+    M1-M6 transfer ``source.params``, the source fit, and M2-M6 are fitted
+    for the whole block by one batched Newton call per model; M7, a refit
+    on the pooled source rows started from the source fit with the source
+    rows' gradient and information there, by one call per chunk of the
+    block within the cell budget. The fits come back as arrays, and all of
+    them are scored, tallied and turned into rates in array passes
+    (:func:`_block_counts`, :func:`scorelink.evaluation._rates`).
     """
     plan = SplitPlan(learning_size, config.repetitions, config.seed)
     rows = [split_rows(target, plan, r) for r in repetitions]
@@ -196,9 +194,9 @@ def _run_unit(
     features = np.take(target.features, learning_rows, axis=0)
     labels = np.take(target.labels, learning_rows, axis=0)
     blocks = [
-        _m7_block(source_sample, source_terms, features, labels, config.fit)
+        _m7_block(source, features, labels, config.fit)
         if kind is LinkModelKind.M7
-        else _transition_block(kind, source_params, features, labels, config.fit)
+        else _transition_block(kind, source.params, features, labels, config.fit)
         for kind in config.models
     ]
 
@@ -261,27 +259,14 @@ def _block_counts(target, test_rows, intercepts, coefficients, threshold) -> np.
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(source_sample, source_params, source_terms, target, config) -> None:
-    _WORKER_STATE.update(
-        source_sample=source_sample,
-        source_params=source_params,
-        source_terms=source_terms,
-        target=target,
-        config=config,
-    )
+def _worker_init(source, target, config) -> None:
+    _WORKER_STATE.update(source=source, target=target, config=config)
 
 
 def _worker_run(unit: tuple[int, range]) -> list[RepetitionRecord]:
-    learning_size, repetitions = unit
-    return _run_unit(
-        _WORKER_STATE["source_sample"],
-        _WORKER_STATE["source_params"],
-        _WORKER_STATE["source_terms"],
-        _WORKER_STATE["target"],
-        _WORKER_STATE["config"],
-        learning_size,
-        repetitions,
-    )
+    """The records of one (learning size, repetitions) unit."""
+    state = _WORKER_STATE
+    return _run_unit(state["source"], state["target"], state["config"], *unit)
 
 
 def run_experiment(
@@ -307,7 +292,7 @@ def run_experiment(
     if not source_fit.converged:
         raise NumericalError("source fit did not converge")
     # before any pooled M7 design exists, so that this source design adds no peak
-    source_terms = _source_terms(source, source_fit.params)
+    terms = _source_terms(source, source_fit.params)
 
     units = _blocks(config, target.dimension)
     workers = min(jobs, len(units))
@@ -315,14 +300,11 @@ def run_experiment(
         with multiprocessing.Pool(
             workers,
             initializer=_worker_init,
-            initargs=(source, source_fit.params, source_terms, target, config),
+            initargs=(terms, target, config),
         ) as pool:
             batches = pool.map(_worker_run, units)
     else:
-        batches = [
-            _run_unit(source, source_fit.params, source_terms, target, config, n, block)
-            for n, block in units
-        ]
+        batches = [_run_unit(terms, target, config, n, block) for n, block in units]
 
     model_order = {kind.value: i for i, kind in enumerate(config.models)}
     records = sorted(

@@ -27,9 +27,10 @@ enter as ordinary logistic coefficients. M7 ignores the link structure
 and refits on the pooled rows, warm-started at the source fit: the MLE of
 all but the n learning rows, so a few Newton steps reach the pooled
 optimum. The first of them is shared: the source rows' gradient and
-information at the source fit are computed once (``_SourceTerms``), and
-each refit adds those of its learning rows to take one exact Newton step
-before the engine runs. The link optimizations warm-start at the
+information at the source fit are computed once, into the run's one
+value of its source side (``_SourceTerms``), and each refit adds those
+of its learning rows to take one exact Newton step before the engine
+runs. The link optimizations warm-start at the
 identity link and share the Newton contract of :func:`scorelink.logistic.fit_mle`, with the ridge
 applied to deviations from the identity: c^2, (lambda - 1)^2,
 sum_j (L_j - 1)^2.
@@ -381,28 +382,29 @@ def _link_design(shift_free, scale_kind, free, source, features, members):
 
 
 class _SourceTerms(NamedTuple):
-    """The point v = (b0, b) that the pooled M7 refits start from, and the
-    source rows' unpenalized log-likelihood gradient (p,) and information
-    (p, p) there, p = d + 1."""
+    """The source side of a run: the source ``sample``, its fit ``params``
+    (b0, b), which the link models transfer and the pooled M7 refits start
+    from, and the source rows' unpenalized log-likelihood ``gradient``
+    (p,) and ``information`` (p, p) there, p = d + 1."""
 
-    x: np.ndarray
+    sample: LabeledSample
+    params: LogisticParams
     gradient: np.ndarray
     information: np.ndarray
 
 
-def _source_terms(source_sample: LabeledSample, start: LogisticParams) -> _SourceTerms:
-    """The _SourceTerms of ``source_sample`` at ``start``, from the Newton
-    engine's own kernels on its ``[1, X]`` design.
+def _source_terms(sample: LabeledSample, params: LogisticParams) -> _SourceTerms:
+    """The _SourceTerms of ``sample`` at ``params``, the derivatives from
+    the Newton engine's own kernels on its ``[1, X]`` design.
 
     The sweep computes them once per run, at the source fit, before any
     pooled design exists, so that the transient design adds nothing to
     the run's peak memory.
     """
-    design, _ = _intercept_design(source_sample, 0.0)
-    x = np.concatenate(([start.intercept], start.coefficients))
-    eta = _matvec(design, x)
-    gradient, prob = _gradient(design, source_sample.labels, eta, _exp_neg_abs(eta))
-    return _SourceTerms(x, gradient, _information(design, prob))
+    design, _ = _intercept_design(sample.features, 0.0)
+    eta = _matvec(design, np.concatenate(([params.intercept], params.coefficients)))
+    gradient, prob = _gradient(design, sample.labels, eta, _exp_neg_abs(eta))
+    return _SourceTerms(sample, params, gradient, _information(design, prob))
 
 
 def fit_m7(
@@ -433,11 +435,7 @@ def fit_m7(
     except NumericalError:
         start = LogisticParams(0.0, np.zeros(source_sample.dimension))
     block = _m7_block(
-        source_sample,
-        _source_terms(source_sample, start),
-        learning.features[None],
-        learning.labels[None],
-        config,
+        _source_terms(source_sample, start), learning.features[None], learning.labels[None], config
     )
     (fit,) = block.fits()
     if isinstance(fit, NumericalError):
@@ -445,71 +443,65 @@ def fit_m7(
     return fit
 
 
-def _m7_block(source_sample, start, features, labels, config) -> _Block:
+def _m7_block(source, features, labels, config) -> _Block:
     """M7 fitted on each of a block of equal-size learning samples,
-    ``features`` (B, n, d) and ``labels`` (B, n), every refit starting
-    from ``start``, the _SourceTerms of ``source_sample`` at a point v;
-    the sweep passes those at the source fit.
+    ``features`` (B, n, d) and ``labels`` (B, n), pooled with the rows of
+    ``source``, the _SourceTerms of the source sample at a point v, which
+    every refit starts from; the sweep passes those at the source fit.
 
     Each refit first takes one Newton step from v, all of them in one
     batched call over the block's learning rows (:func:`_first_steps`),
     and the engine then runs from there. The members go through the
     engine in near-equal chunks, each within ``_BLOCK_CELLS`` cells of
     its stacked pooled design, and each fit is bitwise that of
-    :func:`fit_m7` on its sample alone when ``start`` is what fit_m7
+    :func:`fit_m7` on its sample alone when ``source`` is what fit_m7
     computes. A member with no finite answer (a single class at ridge 0,
     or fitted parameters that are not finite) gets its NumericalError in
     place of a fit.
     """
-    d = source_sample.dimension
+    d = source.sample.dimension
     if d < 1:
         raise ValueError("sample must have at least one feature")
-    for name, dimension in (("learning", features.shape[-1]), ("start", len(start.x) - 1)):
-        if dimension != d:
-            raise ValueError(f"source dimension {d} does not match {name} dimension {dimension}")
+    if features.shape[-1] != d:
+        raise ValueError(f"source dimension {d} does not match learning dimension "
+                         f"{features.shape[-1]}")
 
     count, n = labels.shape
     errors = _class_errors(
-        source_sample.labels.sum() + labels.sum(axis=1), source_sample.n_records + n, config.ridge
+        source.sample.labels.sum() + labels.sum(axis=1), source.sample.n_records + n, config.ridge
     )
     fitted = [i for i, error in enumerate(errors) if error is None]
     x = np.zeros((count, d + 1))
     converged = np.zeros(count, dtype=bool)
     if fitted:
-        x[fitted], converged[fitted] = _pooled_fits(
-            source_sample, start, features, labels, fitted, config
-        )
+        x[fitted], converged[fitted] = _pooled_fits(source, features, labels, fitted, config)
     return _finish_block(LinkModelKind.M7, features, labels, errors, x[:, 0], x[:, 1:], converged)
 
 
-def _first_steps(start: _SourceTerms, features, labels, penalty) -> np.ndarray:
-    """Each member's Newton start (B, p): ``start.x`` plus one Newton step
-    of its pooled penalized problem from there.
+def _first_steps(source: _SourceTerms, design, labels, penalty) -> np.ndarray:
+    """Each member's Newton start (B, p): the source fit v plus one Newton
+    step of its pooled penalized problem from there.
 
-    Every member's pooled gradient and information at ``start.x`` are the
-    source rows' (``start``) plus those of its own learning rows,
-    ``features`` (B, n, d) and ``labels`` (B, n), which one batched call of
+    Every member's pooled gradient and information at v are the source
+    rows' (``source``) plus those of its own learning rows, the ``[1, X]``
+    ``design`` (B, n, p) and ``labels`` (B, n), which one batched call of
     the engine's kernels computes for the whole block. The step is the
-    engine's own first Newton step from ``start.x``, except for the order
-    in which the rows are summed, and is taken in full, without a line
-    search; the engine's steps from there are safeguarded as usual. A
-    member whose step is not finite, or is not an ascent direction,
-    starts at ``start.x``.
+    engine's own first Newton step from v, except for the order in which
+    the rows are summed, and is taken in full, without a line search; the
+    engine's steps from there are safeguarded as usual. A member whose
+    step is not finite, or is not an ascent direction, starts at v.
     """
-    count, n, d = features.shape
-    design = np.empty((count, n, d + 1))
-    design[..., 0] = 1.0
-    design[..., 1:] = features
-    eta = _matvec(design, start.x)
+    x = np.concatenate(([source.params.intercept], source.params.coefficients))
+    eta = _matvec(design, x)
     gradient, prob = _gradient(design, labels, eta, _exp_neg_abs(eta))
-    gradient = start.gradient + gradient - penalty * start.x
-    information = start.information + _information(design, prob) + np.diag(penalty)
+    gradient = source.gradient + gradient - penalty * x
+    information = source.information + _information(design, prob) + np.diag(penalty)
     step = _newton_steps(information, gradient)
     ascent = np.isfinite(step).all(axis=1) & (_dot(gradient, step) > 0.0)
-    return np.where(ascent[:, None], start.x + step, start.x)
+    return np.where(ascent[:, None], x + step, x)
 
 
-def _pooled_fits(source_sample, start, features, labels, fitted, config):
+def _pooled_fits(source, features, labels, fitted, config):
     """The solutions and convergence flags of the pooled refits of the
     members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``, each
     starting from its :func:`_first_steps` point.
@@ -520,17 +512,20 @@ def _pooled_fits(source_sample, start, features, labels, fitted, config):
     each. The engine's compaction moves whole member rows, and every
     member has the same source rows, so they stay intact.
     """
-    (m, d), n = source_sample.features.shape, labels.shape[1]
-    penalty = np.concatenate(([0.0], np.full(d, config.ridge)))  # intercept free
-    starts = _first_steps(start, features[fitted], labels[fitted], penalty)
+    (m, d), n = source.sample.features.shape, labels.shape[1]
+    learning, penalty = _intercept_design(features[fitted], config.ridge)
+    starts = _first_steps(source, learning, labels[fitted], penalty)
+    # freed before the pooled design is allocated: held through the chunk
+    # loop, it raised perfbench's gaussian-100k peak RSS from 83 to 92 MB
+    del learning
     chunks = _chunks(len(fitted), (m + n) * (d + 1))
     # each member a C-contiguous (m + n, d + 1) slab, the layout of the
     # single fit's design, so that BLAS sums every member in the same order
     design = np.empty((max(map(len, chunks)), m + n, d + 1))
     design[:, :, 0] = 1.0
-    design[:, :m, 1:] = source_sample.features
+    design[:, :m, 1:] = source.sample.features
     pooled_labels = np.empty(design.shape[:2])
-    pooled_labels[:, :m] = source_sample.labels
+    pooled_labels[:, :m] = source.sample.labels
     offset = np.zeros(design.shape[:2])
     x = np.empty((len(fitted), d + 1))
     converged = np.empty(len(fitted), dtype=bool)

@@ -238,14 +238,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _intercept_design(sample: LabeledSample, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """The [1, X] design of (intercept, coefficients) and its ridge vector.
+def _intercept_design(features: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The C-contiguous [1, X] design (..., n, d + 1) of (intercept,
+    coefficients) on ``features`` (..., n, d), and its ridge vector.
 
     The intercept is never penalized.
     """
-    design = np.column_stack([np.ones(sample.n_records), sample.features])
-    penalty = np.concatenate(([0.0], np.full(sample.dimension, ridge)))
-    return design, penalty
+    *rows, d = features.shape
+    design = np.empty((*rows, d + 1))
+    design[..., 0] = 1.0
+    design[..., 1:] = features
+    return design, np.concatenate(([0.0], np.full(d, ridge)))
 
 
 def maximize_logistic(
@@ -473,7 +476,7 @@ def log_likelihood(params: LogisticParams, sample: LabeledSample, ridge: float =
 def gradient(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> np.ndarray:
     """Gradient of :func:`log_likelihood` w.r.t. (intercept, coefficients)."""
     _check_dimensions(params, sample)
-    design, penalty = _intercept_design(sample, ridge)
+    design, penalty = _intercept_design(sample.features, ridge)
     eta = params.linear_predictor(sample.features)
     grad, _ = _gradient(design, sample.labels, eta, _exp_neg_abs(eta))
     return grad - penalty * np.concatenate(([params.intercept], params.coefficients))
@@ -482,7 +485,7 @@ def gradient(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) 
 def hessian(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> np.ndarray:
     """Hessian of :func:`log_likelihood`: symmetric, negative semi-definite."""
     _check_dimensions(params, sample)
-    design, penalty = _intercept_design(sample, ridge)
+    design, penalty = _intercept_design(sample.features, ridge)
     prob = sigmoid(params.linear_predictor(sample.features))
     return -(_information(design, prob) + np.diag(penalty))
 
@@ -510,7 +513,7 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
     (error,) = _class_errors(sample.labels.sum(keepdims=True), sample.n_records, config.ridge)
     if error is not None:
         raise error
-    design, penalty = _intercept_design(sample, config.ridge)
+    design, penalty = _intercept_design(sample.features, config.ridge)
     result = maximize_logistic(
         design,
         sample.labels,

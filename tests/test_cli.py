@@ -12,18 +12,18 @@ import pytest
 
 import scorelink.experiment as experiment_module
 import scorelink.links as links_module
-from scorelink import LabeledSample, LogisticParams, SplitPlan, cli
+from scorelink import LabeledSample, LogisticParams, SplitPlan, __version__, cli
 from scorelink.dataset import load_csv, split_rows, write_csv
 from scorelink.gaussian import apply_link, random_homoscedastic_pair, sample_mixture
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, **environment):
+def run_cli(*args, module="scorelink.cli", **environment):
     env = dict(os.environ, **environment)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run(
-        [sys.executable, "-m", "scorelink.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -227,6 +227,24 @@ class TestExperimentCommand:
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_byte_order_mark_changes_no_output(self, german_csv, tmp_path):
+        """A copy of the data that starts with a UTF-8 byte-order mark, as
+        Excel writes it, names the split column as the plain file does,
+        and every output but the metadata (which holds the file's digest)
+        is byte-identical to the plain file's."""
+        bom_copy = tmp_path / "german-bom.csv"
+        bom_copy.write_bytes(b"\xef\xbb\xbf" + german_csv.read_bytes())
+        outputs = []
+        for data in (german_csv, bom_copy):
+            out = tmp_path / data.stem
+            proc = run_cli("experiment", "--data", str(data), "--out", str(out),
+                           "--sizes", "50", "--repetitions", "2")
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "metadata.json"})
+        assert {"tables_test_error.csv", "raw_records.csv"} <= set(outputs[0])
         assert outputs[0] == outputs[1]
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
@@ -665,6 +683,13 @@ CONTRACT = {
 
 
 class TestContract:
+    def test_python_m_scorelink_runs_the_cli(self, tmp_path):
+        proc = run_cli("--version", module="scorelink")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"scorelink {__version__}\n", "")
+        proc = run_cli("fit", "--data", str(tmp_path / "missing.csv"), module="scorelink")
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"].startswith("no such file")
+
     def test_flags_and_config_keys(self, tmp_path, capsys):
         parsers = cli._build_parser()._subparsers._group_actions[0].choices
         assert set(parsers) == set(CONTRACT)

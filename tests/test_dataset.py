@@ -1,6 +1,7 @@
 import hashlib
-import io
+import os
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,7 +21,7 @@ from scorelink import (
     split_by_account_status,
 )
 from scorelink import dataset as dataset_module
-from scorelink.dataset import _format_number, _parse_csv, file_sha256, write_csv
+from scorelink.dataset import _format_number, file_sha256, write_csv
 from scorelink.gaussian import random_homoscedastic_pair, sample_mixture
 
 
@@ -112,16 +113,25 @@ class TestLoadCsv:
         assert again.feature_names == target.feature_names
 
 
-class _Unseekable(io.StringIO):
-    """A stream that cannot be rewound, which _parse_csv reads row by row."""
+def row_loop(directory: Path, text: str) -> LabeledSample:
+    """The sample of the float() row loop alone, which reads a file named
+    like a compressed one (numpy's path reader would decompress it)."""
+    path = directory / "row-loop.gz"
+    path.write_bytes(text.encode())
+    return load_csv(path)
 
-    def seekable(self):
-        return False
 
+def record_loadtxt(monkeypatch) -> list:
+    """Make dataset's np.loadtxt record the body of each call in the
+    returned list."""
+    loadtxt, bodies = np.loadtxt, []
 
-def row_loop(text: str) -> LabeledSample:
-    """The sample of the float() row loop alone."""
-    return _parse_csv(_Unseekable(text, newline=""), "kredit", "text")
+    def recording(body, *args, **kwargs):
+        bodies.append(body)
+        return loadtxt(body, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_module.np, "loadtxt", recording)
+    return bodies
 
 
 def assert_bitwise(sample, expected):
@@ -162,7 +172,7 @@ class TestParsePaths:
         sample = load_csv(path)
         np.testing.assert_array_equal(sample.features, features)
         np.testing.assert_array_equal(sample.labels, [1, 0])
-        assert_bitwise(sample, row_loop(text))
+        assert_bitwise(sample, row_loop(tmp_path, text))
 
     @pytest.mark.parametrize(
         "body, message",
@@ -192,8 +202,8 @@ class TestParsePaths:
             load_csv(path)
         assert str(excinfo.value) == f"{path}: {message}"
         with pytest.raises(DataError) as excinfo:
-            row_loop("a,b,kredit\n" + body)
-        assert str(excinfo.value) == f"text: {message}"
+            row_loop(tmp_path, "a,b,kredit\n" + body)
+        assert str(excinfo.value) == f"{tmp_path / 'row-loop.gz'}: {message}"
 
     def test_header_only_file_warns_nothing(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -221,24 +231,47 @@ class TestParsePaths:
         """A file goes to np.loadtxt as its path, past the header's
         physical lines, and its sample is bitwise the row loop's. A file
         named like a compressed one, which numpy's path reader would
-        decompress, goes as the open stream."""
+        decompress, goes to the row loop alone."""
         path = tmp_path / name
         path.write_bytes(text.encode())
-        expected = row_loop(text)
-        loadtxt, bodies = np.loadtxt, []
-
-        def recording(body, *args, **kwargs):
-            bodies.append(body)
-            return loadtxt(body, *args, **kwargs)
-
-        monkeypatch.setattr(dataset_module.np, "loadtxt", recording)
-        monkeypatch.setattr(dataset_module, "_parse_rows", None)
+        expected = row_loop(tmp_path, text)
+        bodies = record_loadtxt(monkeypatch)
+        if path.suffix != ".gz":
+            monkeypatch.setattr(dataset_module, "_parse_rows", None)
         assert_bitwise(load_csv(path), expected)
-        (body,) = bodies
-        if path.suffix == ".gz":
-            assert not isinstance(body, str)
-        else:
-            assert body == str(path)
+        assert bodies == ([] if path.suffix == ".gz" else [str(path)])
+
+    @pytest.mark.parametrize("suffix", [".csv", ".gz"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_order_mark_and_suffix(self, tmp_path, monkeypatch, bom, suffix):
+        """A leading UTF-8 byte-order mark is encoding, not part of the
+        first column name: with or without it, a file gives bitwise the
+        row loop's sample of the plain text, and np.loadtxt reads it, by
+        path, exactly when its name is not that of a compressed file."""
+        text = "a,b,kredit\n1,2.5,1\n3,4,0\n"
+        expected = row_loop(tmp_path, text)
+        path = tmp_path / f"data{suffix}"
+        path.write_bytes(bom + text.encode())
+        bodies = record_loadtxt(monkeypatch)
+        assert_bitwise(load_csv(path), expected)
+        assert bodies == ([str(path)] if suffix == ".csv" else [])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_by_the_row_loop(self, tmp_path, monkeypatch):
+        """A file that cannot be read twice goes to the row loop alone."""
+        text = "a,b,kredit\n1,2,1\n3,4,0\n"
+        expected = row_loop(tmp_path, text)
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        monkeypatch.setattr(dataset_module.np, "loadtxt", None)
+        writer = threading.Thread(target=path.write_bytes, args=(text.encode(),), daemon=True)
+        writer.start()
+        try:
+            sample = load_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert_bitwise(sample, expected)
 
     def test_gaussian_table_is_read_by_path(self, tmp_path, monkeypatch):
         """A few thousand rows of a Gaussian mixture, written by write_csv,
@@ -246,18 +279,24 @@ class TestParsePaths:
         spec, _ = random_homoscedastic_pair(6, np.random.default_rng(4))
         path = tmp_path / "mixture.csv"
         write_csv(sample_mixture(spec, 3000, seed=4), path)
-        expected = row_loop(path.read_text(encoding="utf-8"))
+        expected = row_loop(tmp_path, path.read_text(encoding="utf-8"))
         monkeypatch.setattr(dataset_module, "_parse_rows", None)
         assert_bitwise(load_csv(path), expected)
 
-    def test_german_is_read_by_the_c_parser(self, german, monkeypatch):
+    def test_german_is_read_by_the_c_parser(self, german, tmp_path, monkeypatch):
         """The packaged file needs no row loop, and the C parser's sample is
-        bitwise the row loop's, read from the packaged stream or by path."""
+        bitwise the row loop's, read through load_german_credit or
+        load_csv, and from a copy that starts with a byte-order mark."""
         path = Path(dataset_module.__file__).parent / "data" / "german.csv"
-        expected = row_loop(path.read_text("utf-8"))
+        expected = row_loop(tmp_path, path.read_text("utf-8"))
+        bom_copy = tmp_path / "german-bom.csv"
+        bom_copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        bodies = record_loadtxt(monkeypatch)
         monkeypatch.setattr(dataset_module, "_parse_rows", None)
         assert_bitwise(dataset_module.load_german_credit(), expected)
         assert_bitwise(load_csv(path), expected)
+        assert_bitwise(load_csv(bom_copy), expected)
+        assert bodies == [str(path), str(path), str(bom_copy)]
         assert_bitwise(german, expected)
 
 

@@ -52,10 +52,10 @@ def small_result(source, target, small_config):
 
 
 def run_unit(source, source_params, target, config, size, repetitions):
-    """The records of _run_unit, its M7 refits started from the source rows'
-    terms at ``source_params``, as run_experiment starts them."""
+    """The records of _run_unit with the run's source side at
+    ``source_params``, as run_experiment builds it at the source fit."""
     terms = links_module._source_terms(source, source_params)
-    return _run_unit(source, source_params, terms, target, config, size, repetitions)
+    return _run_unit(terms, target, config, size, repetitions)
 
 
 def read_dir(path: Path) -> dict:

@@ -64,7 +64,7 @@ def block_fits(kind, source, source_sample, learnings, config=FitConfig()):
     labels = np.stack([learning.labels for learning in learnings])
     if kind is LinkModelKind.M7:
         terms = links_module._source_terms(source_sample, source)
-        return links_module._m7_block(source_sample, terms, features, labels, config).fits()
+        return links_module._m7_block(terms, features, labels, config).fits()
     return links_module._transition_block(kind, source, features, labels, config).fits()
 
 
@@ -576,7 +576,7 @@ def pooled_fit(source, learning, config, start):
         np.concatenate([source.labels, learning.labels]),
         learning.feature_names,
     )
-    design, penalty = logistic_module._intercept_design(pooled, config.ridge)
+    design, penalty = logistic_module._intercept_design(pooled.features, config.ridge)
     result = logistic_module.maximize_logistic_batch(
         design[None],
         pooled.labels[None].astype(float),
@@ -683,7 +683,7 @@ class TestM7Start:
         terms = links_module._source_terms(source, source_fit.params)
         totals = {}
         for n, (rows, features, labels) in blocks.items():
-            block = links_module._m7_block(source, terms, features, labels, config)
+            block = links_module._m7_block(terms, features, labels, config)
             totals[n, "shared step"] = sum(iterations)
             iterations.clear()
             learnings = [LabeledSample(x, y, source.feature_names) for x, y in zip(features, labels)]
@@ -712,9 +712,9 @@ class TestM7Start:
         pooled design, up to the order of the row sums."""
         config = FitConfig()
         terms = links_module._source_terms(source, source_fit.params)
-        penalty = np.concatenate(([0.0], np.full(source.dimension, config.ridge)))
         for rows, features, labels in blocks.values():
-            starts = links_module._first_steps(terms, features, labels, penalty)
+            design, penalty = logistic_module._intercept_design(features, config.ridge)
+            starts = links_module._first_steps(terms, design, labels, penalty)
             for start, x, y in zip(starts, features, labels):
                 learning = LabeledSample(x, y, source.feature_names)
                 one_step = FitConfig(max_iterations=1)

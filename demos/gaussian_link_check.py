@@ -34,7 +34,7 @@ print("source MLE (n=200000): intercept %.4f, coefficients %s"
       % (fitted.intercept, np.round(fitted.coefficients, 4)))
 
 # push the population through a common affine map x* = scale * x + offset
-link = AffineLink.common(np.array([2.0, 0.5, 1.25]), np.array([0.4, -0.3, 0.0]))
+link = AffineLink(np.array([2.0, 0.5, 1.25]), np.array([0.4, -0.3, 0.0]))
 theta_star = gaussian_to_logistic(apply_link(spec, link))
 print("\ntarget closed form: intercept %.4f, coefficients %s"
       % (theta_star.intercept, np.round(theta_star.coefficients, 4)))

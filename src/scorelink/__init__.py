@@ -33,7 +33,6 @@ from .links import (
     LinkModelKind,
     TransferFit,
     TransitionParams,
-    compose,
     estimate_transition,
     fit_m7,
 )
@@ -42,8 +41,6 @@ from .logistic import (
     FitReport,
     LogisticParams,
     fit_mle,
-    gradient,
-    hessian,
     log_likelihood,
     score,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "TransferFit",
     "TransitionParams",
     "apply_link",
-    "compose",
     "confusion",
     "draw_split",
     "error_report",
@@ -74,8 +70,6 @@ __all__ = [
     "fit_m7",
     "fit_mle",
     "gaussian_to_logistic",
-    "gradient",
-    "hessian",
     "load_csv",
     "load_german_credit",
     "log_likelihood",

@@ -12,10 +12,10 @@ follow the credit-scoring convention:
 ROC curves are produced in the axes (x = Type II rate, y = 1 - Type I
 rate); the sweep runs from threshold 0 (accept everyone) to 1 (reject
 everyone), so both coordinates increase monotonically from (0, 0) to
-(1, 1) and an uninformative scorer follows the diagonal. The equivalent
-conventional pair (false positive rate, true positive rate) is carried in
-the same record; both parameterizations enclose the same area, so ``auc``
-is the familiar AUC.
+(1, 1) and an uninformative scorer follows the diagonal. The conventional
+pair (false positive rate, true positive rate) is (1 - y, 1 - x) of the
+same sweep; both parameterizations enclose the same area, so ``auc`` is
+the familiar AUC.
 """
 
 from __future__ import annotations
@@ -80,16 +80,12 @@ class RocCurve:
     """Threshold sweep in the (Type II, 1 - Type I) axes.
 
     ``miss_rate`` is the x coordinate (Type II error), ``specificity`` the
-    y coordinate (1 - Type I error); ``false_positive_rate`` and
-    ``true_positive_rate`` give the conventional parameterization of the
-    identical sweep.
+    y coordinate (1 - Type I error).
     """
 
     thresholds: np.ndarray
     miss_rate: np.ndarray
     specificity: np.ndarray
-    false_positive_rate: np.ndarray
-    true_positive_rate: np.ndarray
     auc: float
 
 
@@ -204,14 +200,7 @@ def roc(scores, labels) -> RocCurve:
     x = fn / positives  # Type II error
     y = 1.0 - fp / negatives  # 1 - Type I error
     auc = float(np.sum(0.5 * np.diff(x) * (y[1:] + y[:-1])))
-    return RocCurve(
-        thresholds=thresholds,
-        miss_rate=x,
-        specificity=y,
-        false_positive_rate=1.0 - y,
-        true_positive_rate=1.0 - x,
-        auc=auc,
-    )
+    return RocCurve(thresholds=thresholds, miss_rate=x, specificity=y, auc=auc)
 
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:

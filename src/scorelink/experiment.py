@@ -52,7 +52,9 @@ from .links import (
     _SourceTerms,
     _transition_block,
 )
-from .logistic import FitConfig, FitReport, LogisticParams, _matvec, fit_mle, score, sigmoid
+from .logistic import (
+    FitConfig, FitReport, LogisticParams, _integer, _matvec, fit_mle, score, sigmoid,
+)
 
 ALL_MODELS = tuple(LinkModelKind)
 _METRICS = ("test_error", "type_i", "type_ii")
@@ -77,14 +79,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.learning_sizes:
             raise ValueError("learning_sizes must be non-empty")
-        if self.repetitions < 1:
+        if _integer("repetitions", self.repetitions) < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly in (0, 1)")
         if not self.models:
             raise ValueError("models must be non-empty")
-        object.__setattr__(self, "learning_sizes", tuple(int(n) for n in self.learning_sizes))
+        sizes = tuple(_integer("learning size", n) for n in self.learning_sizes)
+        object.__setattr__(self, "learning_sizes", sizes)
+        object.__setattr__(self, "repetitions", int(self.repetitions))
         object.__setattr__(self, "models", tuple(self.models))
+        for model in self.models:
+            if not isinstance(model, LinkModelKind):
+                raise ValueError(f"model must be a LinkModelKind, got {model!r}")
         for name, values in (("learning size", self.learning_sizes), ("model", self.models)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:

@@ -93,35 +93,24 @@ class MixtureSpec:
 
 @dataclass(frozen=True)
 class AffineLink:
-    """Common diagonal scaling plus per-class offsets: x* = scale * x + offset_k."""
+    """Diagonal scaling plus one offset for both classes: x* = scale * x + offset."""
 
     scale: np.ndarray
-    offsets: np.ndarray  # shape (2, d): offset for class 1, class 2
+    offset: np.ndarray
 
     def __post_init__(self):
         scale = np.asarray(self.scale, dtype=float)
-        offsets = np.asarray(self.offsets, dtype=float)
+        offset = np.asarray(self.offset, dtype=float)
         if scale.ndim != 1:
             raise ValueError("scale must be a 1-d vector")
-        d = scale.shape[0]
-        if offsets.shape != (2, d):
-            raise ValueError(f"offsets must have shape (2, {d})")
+        if offset.shape != scale.shape:
+            raise ValueError(f"offset must have shape ({scale.shape[0]},)")
         if np.any(scale == 0):
             raise ValueError("scale entries must be nonzero")
         scale.setflags(write=False)
-        offsets.setflags(write=False)
+        offset.setflags(write=False)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "offsets", offsets)
-
-    @classmethod
-    def common(cls, scale, offset) -> "AffineLink":
-        """Link with the same offset in both classes (homoscedasticity preserving)."""
-        offset = np.asarray(offset, dtype=float)
-        return cls(np.asarray(scale, dtype=float), np.vstack([offset, offset]))
-
-    @property
-    def has_common_offset(self) -> bool:
-        return bool(np.array_equal(self.offsets[0], self.offsets[1]))
+        object.__setattr__(self, "offset", offset)
 
 
 @dataclass(frozen=True)
@@ -156,15 +145,11 @@ def sample_mixture(spec: MixtureSpec, n: int, seed: int) -> LabeledSample:
     return LabeledSample(feats, labels, names)
 
 
-def apply_link(
-    spec: MixtureSpec,
-    link: AffineLink,
-    proportions: tuple[float, float] | None = None,
-) -> MixtureSpec:
+def apply_link(spec: MixtureSpec, link: AffineLink) -> MixtureSpec:
     """Push the mixture through the affine link:
-    mu*_k = scale * mu_k + offset_k, Sigma*_k = scale Sigma_k scale.
+    mu*_k = scale * mu_k + offset, Sigma*_k = scale Sigma_k scale.
 
-    Mixing proportions carry over unchanged unless overridden.
+    Mixing proportions carry over unchanged.
     """
     if link.scale.shape[0] != spec.dimension:
         raise ValueError(
@@ -173,16 +158,11 @@ def apply_link(
         )
     s = link.scale
     outer = np.outer(s, s)
-    new_classes = []
-    for params, offset in ((spec.class_one, link.offsets[0]), (spec.class_two, link.offsets[1])):
-        new_classes.append(
-            GaussianClassParams(s * params.mean + offset, outer * params.covariance)
-        )
-    return MixtureSpec(
-        new_classes[0],
-        new_classes[1],
-        spec.proportions if proportions is None else proportions,
+    one, two = (
+        GaussianClassParams(s * params.mean + link.offset, outer * params.covariance)
+        for params in (spec.class_one, spec.class_two)
     )
+    return MixtureSpec(one, two, spec.proportions)
 
 
 def gaussian_to_logistic(spec: MixtureSpec) -> LogisticParams:
@@ -209,17 +189,13 @@ def verify_link_consistency(spec: MixtureSpec, link: AffineLink) -> LinkConsiste
     coefficient link: beta*_j = beta_j / scale_j and
     beta0* - beta0 = -offset' beta*.
 
-    Requires a homoscedastic source and a common offset across classes
-    (so the target stays homoscedastic).
+    Requires a homoscedastic source.
     """
-    if not link.has_common_offset:
-        raise ValueError("link must use a common offset across classes")
     source = gaussian_to_logistic(spec)
     target = gaussian_to_logistic(apply_link(spec, link))
 
     expected_coefs = source.coefficients / link.scale
-    alpha = link.offsets[0]
-    expected_shift = -float(alpha @ target.coefficients)
+    expected_shift = -float(link.offset @ target.coefficients)
     c_observed = target.intercept - source.intercept
 
     residual = max(
@@ -233,9 +209,9 @@ def verify_link_consistency(spec: MixtureSpec, link: AffineLink) -> LinkConsiste
 
 
 def random_homoscedastic_pair(
-    dimension: int, rng: np.random.Generator, identity_link: bool = False
+    dimension: int, rng: np.random.Generator
 ) -> tuple[MixtureSpec, AffineLink]:
-    """A random well-conditioned homoscedastic mixture and a common affine link."""
+    """A random well-conditioned homoscedastic mixture and an affine link."""
     a = rng.standard_normal((dimension, dimension))
     cov = a @ a.T / dimension + np.eye(dimension)
     mu1 = rng.standard_normal(dimension)
@@ -244,10 +220,5 @@ def random_homoscedastic_pair(
     spec = MixtureSpec(
         GaussianClassParams(mu1, cov), GaussianClassParams(mu2, cov), (p1, 1.0 - p1)
     )
-    if identity_link:
-        link = AffineLink.common(np.ones(dimension), np.zeros(dimension))
-    else:
-        link = AffineLink.common(
-            rng.uniform(0.5, 2.0, dimension), rng.standard_normal(dimension)
-        )
+    link = AffineLink(rng.uniform(0.5, 2.0, dimension), rng.standard_normal(dimension))
     return spec, link

@@ -45,7 +45,6 @@ of one and take the same path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -133,10 +132,6 @@ class TransitionParams:
         object.__setattr__(self, "shift", float(self.shift))
         object.__setattr__(self, "scale", scale)
 
-    @classmethod
-    def identity(cls, dimension: int) -> "TransitionParams":
-        return cls(0.0, np.ones(dimension))
-
 
 @dataclass(frozen=True)
 class TransferFit:
@@ -166,9 +161,6 @@ class TransferFit:
         if self.unidentifiable:
             out["unidentifiable"] = list(self.unidentifiable)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 def compose(source: LogisticParams, transition: TransitionParams) -> LogisticParams:

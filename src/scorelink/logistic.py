@@ -87,20 +87,17 @@ class LogisticParams:
     def to_dict(self) -> dict:
         return {"intercept": self.intercept, "coefficients": self.coefficients.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogisticParams":
-        return cls(float(data["intercept"]), np.asarray(data["coefficients"], dtype=float))
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogisticParams":
-        return cls.from_dict(json.loads(text))
-
     @classmethod
     def load(cls, path: str | Path) -> "LogisticParams":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls(float(data["intercept"]), np.asarray(data["coefficients"], dtype=float))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class FitConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if _integer("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be positive")
         if not 0 < self.gradient_tolerance < np.inf:  # also rejects NaN
             raise ValueError("gradient_tolerance must be finite and > 0")

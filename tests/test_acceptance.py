@@ -31,13 +31,13 @@ import numpy as np
 import pytest
 
 from scorelink import (
+    AffineLink,
     FitConfig,
     LabeledSample,
     LinkModelKind,
     LogisticParams,
     estimate_transition,
     fit_mle,
-    gradient,
     log_likelihood,
     roc,
     score,
@@ -51,6 +51,7 @@ from scorelink.experiment import (
     write_experiment_outputs,
 )
 from scorelink.gaussian import random_homoscedastic_pair
+from scorelink.logistic import gradient
 
 DEFAULT_CONFIG = ExperimentConfig(seed=0)
 
@@ -356,8 +357,9 @@ class TestCriterion4GaussianOracle:
         rng = np.random.default_rng(99)
         worst_resid, worst_c, worst_scale = 0.0, 0.0, 0.0
         for _ in range(20):
-            spec, link = random_homoscedastic_pair(int(rng.integers(1, 9)), rng, identity_link=True)
-            rep = verify_link_consistency(spec, link)
+            spec, _ = random_homoscedastic_pair(int(rng.integers(1, 9)), rng)
+            identity = AffineLink(np.ones(spec.dimension), np.zeros(spec.dimension))
+            rep = verify_link_consistency(spec, identity)
             worst_resid = max(worst_resid, rep.max_residual)
             worst_c = max(worst_c, abs(rep.c_observed))
             worst_scale = max(worst_scale, float(np.max(np.abs(rep.scale_observed - 1.0))))

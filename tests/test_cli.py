@@ -277,6 +277,28 @@ class TestExperimentCommand:
         assert "raw_records.csv" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_tables_independent_of_emulated_cpu(self, german_csv, tmp_path):
+        """The German sweep's tables and metadata.json are byte-identical
+        when numpy dispatches no AVX-512 kernel and OpenBLAS runs its
+        Haswell kernel, as on an AVX2-only CPU, at one and at two jobs.
+        Both switches act on the child process only. raw_records.csv and
+        roc_M*.csv are not compared: the last bits of their
+        log-likelihoods and thresholds follow the CPU's exp and log and
+        the BLAS kernel's summation order."""
+        avx2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                "OPENBLAS_CORETYPE": "Haswell"}
+        outputs = []
+        for name, jobs, environment in (("default", "1", {}), ("avx2-jobs-1", "1", avx2),
+                                        ("avx2-jobs-2", "2", avx2)):
+            out = tmp_path / name
+            proc = run_cli("experiment", "--data", str(german_csv), "--out", str(out),
+                           "--jobs", jobs, **environment)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name.startswith("tables_") or p.name == "metadata.json"})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_config_file_merging(self, german_csv, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 3, "sizes": [50], "repetitions": 2}))
@@ -571,7 +593,7 @@ class TestExitCodes:
             "narrow": tmp_path / "narrow.json",
             "wide": tmp_path / "wide.csv",
         }
-        paths["narrow"].write_text(LogisticParams(0.0, np.zeros(18)).to_json())
+        paths["narrow"].write_text(json.dumps(LogisticParams(0.0, np.zeros(18)).to_dict()))
         rng = np.random.default_rng(0)
         names = tuple(f"x{j}" for j in range(20))
         write_csv(LabeledSample(rng.normal(size=(30, 20)), np.arange(30) % 2, names),

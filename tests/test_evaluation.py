@@ -179,14 +179,6 @@ class TestRoc:
         assert abs(base - squeezed) <= 1e-12
         assert abs(base - shifted) <= 1e-12
 
-    def test_paper_axes_match_conventional(self, rng):
-        """The two parameterizations are the same sweep."""
-        scores = rng.random(100)
-        labels = rng.integers(0, 2, 100)
-        curve = roc(scores, labels)
-        np.testing.assert_array_equal(curve.true_positive_rate, 1.0 - curve.miss_rate)
-        np.testing.assert_array_equal(curve.false_positive_rate, 1.0 - curve.specificity)
-
 
 class TestEmitters:
     def test_csv_columns_and_fidelity(self, tmp_path, rng):

@@ -145,6 +145,30 @@ class TestRunExperiment:
         assert sizes == [len(_blocks(small_config, target.dimension))]
         assert result.records == small_result.records
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"learning_sizes": (50.7,)}, "learning size must be an integer, got 50.7"),
+            ({"learning_sizes": (50, True)}, "learning size must be an integer, got True"),
+            ({"repetitions": 2.9}, "repetitions must be an integer, got 2.9"),
+            ({"repetitions": False}, "repetitions must be an integer, got False"),
+            ({"models": ("M1",)}, "model must be a LinkModelKind, got 'M1'"),
+        ],
+        ids=["fractional-size", "bool-size", "fractional-repetitions", "bool-repetitions",
+             "model-name"],
+    )
+    def test_config_rejects_what_it_would_rewrite(self, settings, message):
+        """Settings the sweep would truncate, or fail on only mid-run, are
+        refused when the configuration is built."""
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**settings)
+
+    def test_config_stores_numpy_integers_as_ints(self):
+        """A size or repetition count given as a numpy integer is stored as
+        an int, so that metadata.json can hold it."""
+        config = ExperimentConfig(learning_sizes=(np.int64(50),), repetitions=np.int64(2))
+        assert [type(n) for n in (*config.learning_sizes, config.repetitions)] == [int, int]
+
     def test_model_subset(self, source, target):
         config = ExperimentConfig(
             learning_sizes=(50,), repetitions=2, seed=1, models=(LinkModelKind.M1, LinkModelKind.M3)

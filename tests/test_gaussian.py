@@ -41,7 +41,7 @@ class TestTypes:
 
     def test_scale_must_be_nonzero(self):
         with pytest.raises(ValueError, match="nonzero"):
-            AffineLink.common(np.array([1.0, 0.0]), np.zeros(2))
+            AffineLink(np.array([1.0, 0.0]), np.zeros(2))
 
 
 class TestSampleMixture:
@@ -72,36 +72,29 @@ class TestSampleMixture:
 class TestApplyLink:
     def test_identity_is_exact(self):
         spec = two_class([1.0, 2.0], [-1.0, 0.5], [[2.0, 0.3], [0.3, 1.0]])
-        out = apply_link(spec, AffineLink.common(np.ones(2), np.zeros(2)))
+        out = apply_link(spec, AffineLink(np.ones(2), np.zeros(2)))
         np.testing.assert_array_equal(out.class_one.mean, spec.class_one.mean)
         np.testing.assert_array_equal(out.class_one.covariance, spec.class_one.covariance)
         assert out.proportions == spec.proportions
 
     def test_covariance_scaling(self):
         spec = two_class([0.0, 0.0], [1.0, 1.0], np.eye(2))
-        out = apply_link(spec, AffineLink.common(np.array([2.0, 3.0]), np.zeros(2)))
+        out = apply_link(spec, AffineLink(np.array([2.0, 3.0]), np.zeros(2)))
         np.testing.assert_allclose(out.class_one.covariance, np.diag([4.0, 9.0]))
 
     def test_mean_map(self):
         spec = two_class([1.0, 1.0], [0.0, 0.0], np.eye(2))
-        link = AffineLink.common(np.array([2.0, 2.0]), np.array([0.0, 1.0]))
+        link = AffineLink(np.array([2.0, 2.0]), np.array([0.0, 1.0]))
         out = apply_link(spec, link)
         np.testing.assert_allclose(out.class_one.mean, [2.0, 3.0])
-
-    def test_proportion_override(self):
-        spec = two_class([0.0], [1.0], [[1.0]])
-        out = apply_link(
-            spec, AffineLink.common(np.ones(1), np.zeros(1)), proportions=(0.2, 0.8)
-        )
-        assert out.proportions == (0.2, 0.8)
 
     def test_monte_carlo_moments_match(self, rng):
         """Pushing samples through the map reproduces the analytic moments."""
         spec = two_class([1.0, -0.5], [0.2, 0.8], [[1.5, 0.4], [0.4, 0.9]])
-        link = AffineLink.common(np.array([1.7, 0.6]), np.array([0.3, -1.0]))
+        link = AffineLink(np.array([1.7, 0.6]), np.array([0.3, -1.0]))
         out = apply_link(spec, link)
         sample = sample_mixture(spec, 200_000, seed=8)
-        pushed = sample.features * link.scale + link.offsets[0]
+        pushed = sample.features * link.scale + link.offset
         for label, params in ((1, out.class_one), (0, out.class_two)):
             rows = pushed[sample.labels == label]
             np.testing.assert_allclose(rows.mean(axis=0), params.mean, atol=0.03)
@@ -154,7 +147,7 @@ class TestLinkConsistency:
     def test_identity_link(self):
         spec = two_class([1.0, 0.3], [-0.5, 0.1], [[1.2, 0.2], [0.2, 0.8]])
         report = verify_link_consistency(
-            spec, AffineLink.common(np.ones(2), np.zeros(2))
+            spec, AffineLink(np.ones(2), np.zeros(2))
         )
         assert report.max_residual < 1e-12
         np.testing.assert_allclose(report.c_observed, 0.0, atol=1e-12)
@@ -164,10 +157,10 @@ class TestLinkConsistency:
         """scale (2, 2), no offset: coefficients halve, no shift."""
         spec = two_class([1.0, 0.0], [-1.0, 0.0], np.eye(2))
         report = verify_link_consistency(
-            spec, AffineLink.common(np.array([2.0, 2.0]), np.zeros(2))
+            spec, AffineLink(np.array([2.0, 2.0]), np.zeros(2))
         )
         target = gaussian_to_logistic(
-            apply_link(spec, AffineLink.common(np.array([2.0, 2.0]), np.zeros(2)))
+            apply_link(spec, AffineLink(np.array([2.0, 2.0]), np.zeros(2)))
         )
         np.testing.assert_allclose(target.coefficients, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(report.c_observed, 0.0, atol=1e-12)
@@ -176,16 +169,10 @@ class TestLinkConsistency:
     def test_offset_induces_shift(self):
         """Common offset (1, 0) on the scaled link: c = -alpha' beta* = -1."""
         spec = two_class([1.0, 0.0], [-1.0, 0.0], np.eye(2))
-        link = AffineLink.common(np.array([2.0, 2.0]), np.array([1.0, 0.0]))
+        link = AffineLink(np.array([2.0, 2.0]), np.array([1.0, 0.0]))
         report = verify_link_consistency(spec, link)
         np.testing.assert_allclose(report.c_observed, -1.0, atol=1e-10)
         assert report.max_residual < 1e-10
-
-    def test_class_specific_offsets_rejected(self):
-        spec = two_class([1.0], [0.0], [[1.0]])
-        link = AffineLink(np.array([1.0]), np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError, match="common offset"):
-            verify_link_consistency(spec, link)
 
     def test_hundred_random_instances(self):
         """Coefficient-link identity across random homoscedastic setups."""
@@ -200,7 +187,7 @@ class TestLinkConsistency:
 
     def test_roundtrip_identity_exact(self):
         spec = two_class([0.7, -0.1], [0.2, 0.5], [[1.1, 0.1], [0.1, 0.9]])
-        identity = AffineLink.common(np.ones(2), np.zeros(2))
+        identity = AffineLink(np.ones(2), np.zeros(2))
         direct = gaussian_to_logistic(spec)
         via_link = gaussian_to_logistic(apply_link(spec, identity))
         assert via_link.intercept == direct.intercept

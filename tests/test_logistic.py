@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -15,12 +16,17 @@ from scorelink import (
     LogisticParams,
     NumericalError,
     fit_mle,
-    gradient,
-    hessian,
     log_likelihood,
     score,
 )
-from scorelink.logistic import NewtonBatch, maximize_logistic, maximize_logistic_batch, sigmoid
+from scorelink.logistic import (
+    NewtonBatch,
+    gradient,
+    hessian,
+    maximize_logistic,
+    maximize_logistic_batch,
+    sigmoid,
+)
 
 
 def random_instance(rng, n=25, d=4, scale=1.0):
@@ -236,6 +242,14 @@ class TestFitMle:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             FitConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_non_integer_iteration_cap_rejected(self, value):
+        """The cap is a step count. The engine stops on steps ==
+        max_iterations, so a cap of 2.5 would never fire; a float, even a
+        whole one, a bool or a string is an error."""
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            FitConfig(max_iterations=value)
+
     def test_gradient_norm_at_optimum(self, source_fit):
         assert source_fit.gradient_norm <= 1e-8
 
@@ -277,15 +291,17 @@ class TestFitMle:
 
 
 class TestSerialization:
-    def test_json_roundtrip_full_precision(self, source_fit):
+    def test_json_roundtrip_full_precision(self, source_fit, tmp_path):
         params = source_fit.params
-        again = LogisticParams.from_json(params.to_json())
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params.to_dict()), encoding="utf-8")
+        again = LogisticParams.load(path)
         assert again.intercept == params.intercept
         np.testing.assert_array_equal(again.coefficients, params.coefficients)
 
     def test_field_order(self):
-        text = LogisticParams(1.5, np.array([2.0, -3.0])).to_json()
-        assert text.index("intercept") < text.index("coefficients")
+        data = LogisticParams(1.5, np.array([2.0, -3.0])).to_dict()
+        assert list(data) == ["intercept", "coefficients"]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -68,6 +68,8 @@ class LabeledSample:
         for k, name in enumerate(self.feature_names):
             if name in self.feature_names[:k]:
                 raise DataError(f"feature name {name!r} appears more than once")
+        # read-only views: the caller's own arrays stay writable
+        feats, labels = feats.view(), labels.view()
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)

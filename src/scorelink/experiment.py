@@ -298,7 +298,6 @@ def run_experiment(
     source_fit = fit_mle(source, config.fit)
     if not source_fit.converged:
         raise NumericalError("source fit did not converge")
-    # before any pooled M7 design exists, so that this source design adds no peak
     terms = _source_terms(source, source_fit.params)
 
     units = _blocks(config, target.dimension)

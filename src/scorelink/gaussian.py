@@ -55,6 +55,7 @@ class GaussianClassParams:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("covariance must be positive definite") from None
+        mean, cov = mean.view(), cov.view()  # the caller's arrays stay writable
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -107,6 +108,7 @@ class AffineLink:
             raise ValueError(f"offset must have shape ({scale.shape[0]},)")
         if np.any(scale == 0):
             raise ValueError("scale entries must be nonzero")
+        scale, offset = scale.view(), offset.view()  # the caller's arrays stay writable
         scale.setflags(write=False)
         offset.setflags(write=False)
         object.__setattr__(self, "scale", scale)

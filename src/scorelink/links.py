@@ -30,10 +30,13 @@ optimum. The first of them is shared: the source rows' gradient and
 information at the source fit are computed once, into the run's one
 value of its source side (``_SourceTerms``), and each refit adds those
 of its learning rows to take one exact Newton step before the engine
-runs. The link optimizations warm-start at the
-identity link and share the Newton contract of :func:`scorelink.logistic.fit_mle`, with the ridge
-applied to deviations from the identity: c^2, (lambda - 1)^2,
-sum_j (L_j - 1)^2.
+runs. No pooled design is built: the engine takes the source rows once,
+as rows every member of a chunk shares, ahead of each member's own
+learning rows, with the intercept column implicit, so a run holds the
+source rows once. The link optimizations warm-start at the identity link
+and share the Newton contract of :func:`scorelink.logistic.fit_mle`,
+with the ridge applied to deviations from the identity: c^2,
+(lambda - 1)^2, sum_j (L_j - 1)^2.
 
 Every kind also fits a block of equal-size learning samples, given as
 the (B, n, d) features and (B, n) labels the sweep holds, through the
@@ -62,7 +65,8 @@ from .logistic import (
     _exp_neg_abs,
     _gradient,
     _information,
-    _intercept_design,
+    _intercept_ridge,
+    _linear_predictor,
     _log_likelihood,
     _matvec,
     _newton_steps,
@@ -128,6 +132,7 @@ class TransitionParams:
             raise ValueError("scale must be a 1-d vector")
         if not (np.isfinite(self.shift) and np.isfinite(scale).all()):
             raise ValueError("transition parameters must be finite")
+        scale = scale.view()  # the caller's array stays writable
         scale.setflags(write=False)
         object.__setattr__(self, "shift", float(self.shift))
         object.__setattr__(self, "scale", scale)
@@ -387,16 +392,12 @@ class _SourceTerms(NamedTuple):
 
 def _source_terms(sample: LabeledSample, params: LogisticParams) -> _SourceTerms:
     """The _SourceTerms of ``sample`` at ``params``, the derivatives from
-    the Newton engine's own kernels on its ``[1, X]`` design.
-
-    The sweep computes them once per run, at the source fit, before any
-    pooled design exists, so that the transient design adds nothing to
-    the run's peak memory.
-    """
-    design, _ = _intercept_design(sample.features, 0.0)
-    eta = _matvec(design, np.concatenate(([params.intercept], params.coefficients)))
-    gradient, prob = _gradient(design, sample.labels, eta, _exp_neg_abs(eta))
-    return _SourceTerms(sample, params, gradient, _information(design, prob))
+    the Newton engine's own kernels on its features with the implicit
+    intercept; the sweep computes them once per run, at the source fit."""
+    x = np.concatenate(([params.intercept], params.coefficients))
+    eta = _linear_predictor(sample.features, x, intercept=True)
+    gradient, prob = _gradient(sample.features, sample.labels, eta, _exp_neg_abs(eta), True)
+    return _SourceTerms(sample, params, gradient, _information(sample.features, prob, True))
 
 
 def fit_m7(
@@ -443,13 +444,15 @@ def _m7_block(source, features, labels, config) -> _Block:
 
     Each refit first takes one Newton step from v, all of them in one
     batched call over the block's learning rows (:func:`_first_steps`),
-    and the engine then runs from there. The members go through the
-    engine in near-equal chunks, each within ``_BLOCK_CELLS`` cells of
-    its stacked pooled design, and each fit is bitwise that of
-    :func:`fit_m7` on its sample alone when ``source`` is what fit_m7
-    computes. A member with no finite answer (a single class at ridge 0,
-    or fitted parameters that are not finite) gets its NumericalError in
-    place of a fit.
+    and the engine then runs from there, on the source rows as the rows
+    every member shares and its learning rows as its own; no pooled
+    design is built. The members go through the engine in near-equal
+    chunks within ``_BLOCK_CELLS``, each member counted at half its pooled
+    rows' cells (see :func:`_pooled_fits`), and each fit is bitwise that
+    of :func:`fit_m7` on its sample alone when ``source`` is what fit_m7
+    computes. A member with no
+    finite answer (a single class at ridge 0, or fitted parameters that
+    are not finite) gets its NumericalError in place of a fit.
     """
     d = source.sample.dimension
     if d < 1:
@@ -470,24 +473,25 @@ def _m7_block(source, features, labels, config) -> _Block:
     return _finish_block(LinkModelKind.M7, features, labels, errors, x[:, 0], x[:, 1:], converged)
 
 
-def _first_steps(source: _SourceTerms, design, labels, penalty) -> np.ndarray:
+def _first_steps(source: _SourceTerms, features, labels, penalty) -> np.ndarray:
     """Each member's Newton start (B, p): the source fit v plus one Newton
     step of its pooled penalized problem from there.
 
     Every member's pooled gradient and information at v are the source
-    rows' (``source``) plus those of its own learning rows, the ``[1, X]``
-    ``design`` (B, n, p) and ``labels`` (B, n), which one batched call of
-    the engine's kernels computes for the whole block. The step is the
-    engine's own first Newton step from v, except for the order in which
-    the rows are summed, and is taken in full, without a line search; the
-    engine's steps from there are safeguarded as usual. A member whose
-    step is not finite, or is not an ascent direction, starts at v.
+    rows' (``source``) plus those of its own learning rows, ``features``
+    (B, n, d) with the implicit intercept and ``labels`` (B, n), which
+    one batched call of the engine's kernels computes for the whole
+    block. The step is the engine's own first Newton step from v, except
+    for the order in which the rows are summed, and is taken in full,
+    without a line search; the engine's steps from there are safeguarded
+    as usual. A member whose step is not finite, or is not an ascent
+    direction, starts at v.
     """
     x = np.concatenate(([source.params.intercept], source.params.coefficients))
-    eta = _matvec(design, x)
-    gradient, prob = _gradient(design, labels, eta, _exp_neg_abs(eta))
+    eta = _linear_predictor(features, x, intercept=True)
+    gradient, prob = _gradient(features, labels, eta, _exp_neg_abs(eta), True)
     gradient = source.gradient + gradient - penalty * x
-    information = source.information + _information(design, prob) + np.diag(penalty)
+    information = source.information + _information(features, prob, True) + np.diag(penalty)
     step = _newton_steps(information, gradient)
     ascent = np.isfinite(step).all(axis=1) & (_dot(gradient, step) > 0.0)
     return np.where(ascent[:, None], x + step, x)
@@ -498,41 +502,39 @@ def _pooled_fits(source, features, labels, fitted, config):
     members ``fitted``, in near-equal chunks within ``_BLOCK_CELLS``, each
     starting from its :func:`_first_steps` point.
 
-    The pooled design ``[1, X]``, labels and offsets are allocated once per
-    block, with the intercept column and the source rows written in once;
-    a chunk overwrites only the learning rows, in one slice assignment
-    each. The engine's compaction moves whole member rows, and every
-    member has the same source rows, so they stay intact.
+    No pooled design exists: each chunk hands the engine the source
+    features once, as the rows every member shares, and a copy of its own
+    members' learning features as their own rows, with the implicit
+    intercept. The pooled labels are allocated once per block, with the
+    source labels written in once; a chunk overwrites only the learning
+    labels. The engine's compaction moves whole member rows, and every
+    member has the same source labels, so they stay intact.
     """
     (m, d), n = source.sample.features.shape, labels.shape[1]
-    learning, penalty = _intercept_design(features[fitted], config.ridge)
-    starts = _first_steps(source, learning, labels[fitted], penalty)
-    # freed before the pooled design is allocated: held through the chunk
-    # loop, it raised perfbench's gaussian-100k peak RSS from 83 to 92 MB
-    del learning
-    chunks = _chunks(len(fitted), (m + n) * (d + 1))
-    # each member a C-contiguous (m + n, d + 1) slab, the layout of the
-    # single fit's design, so that BLAS sums every member in the same order
-    design = np.empty((max(map(len, chunks)), m + n, d + 1))
-    design[:, :, 0] = 1.0
-    design[:, :m, 1:] = source.sample.features
-    pooled_labels = np.empty(design.shape[:2])
+    penalty = _intercept_ridge(d, config.ridge)
+    starts = _first_steps(source, features[fitted], labels[fitted], penalty)
+    # the engine writes the weighted copy a group of members at a time,
+    # within the budget, so the rest of a chunk's transient memory is its
+    # members' vectors and learning rows: a member counted at half its
+    # pooled cells keeps a German M7 block's traced peak within about 1.2 MiB
+    chunks = _chunks(len(fitted), (m + n) * (d + 1) // 2)
+    pooled_labels = np.empty((max(map(len, chunks)), m + n))
     pooled_labels[:, :m] = source.sample.labels
-    offset = np.zeros(design.shape[:2])
     x = np.empty((len(fitted), d + 1))
     converged = np.empty(len(fitted), dtype=bool)
     for chunk in chunks:
-        members, k = fitted[chunk.start : chunk.stop], len(chunk)
-        design[:k, m:, 1:] = features[members]
-        pooled_labels[:k, m:] = labels[members]
+        members = slice(chunk.start, chunk.stop)
+        pooled_labels[: len(chunk), m:] = labels[fitted[members]]
         result = maximize_logistic_batch(
-            design[:k],
-            pooled_labels[:k],
-            offset[:k],
+            # a copy of C-contiguous members, the layout of a single fit's
+            features[fitted[members]],
+            pooled_labels[: len(chunk)],
             penalty=penalty,
-            start=starts[chunk.start : chunk.stop],
+            start=starts[members],
             max_iterations=config.max_iterations,
             gradient_tolerance=config.gradient_tolerance,
+            intercept=True,
+            shared=source.sample.features[None],
         )
-        x[chunk], converged[chunk] = result.x, result.converged
+        x[members], converged[members] = result.x, result.converged
     return x, converged

@@ -12,7 +12,8 @@ where ``eta = offset + design @ v``, and returns their results as one
 :class:`NewtonBatch` of arrays, a row per member. The constrained
 transfer estimators in :mod:`scorelink.links` call it on whole blocks;
 :func:`fit_mle` fits one problem through :func:`maximize_logistic`, the
-batch of one. All probability evaluations use a numerically stable
+batch of one, on the sample's own features with an implicit intercept
+column. All probability evaluations use a numerically stable
 sigmoid (no overflow for any finite linear predictor), and the likelihood
 the softplus max(eta, 0) + log1p(exp(-|eta|)), so both stay finite
 everywhere; the two share the one exp(-|eta|) per point.
@@ -67,6 +68,7 @@ class LogisticParams:
             raise ValueError("coefficients must be a 1-d vector")
         if not (np.isfinite(self.intercept) and np.isfinite(coefs).all()):
             raise ValueError("parameters must be finite")
+        coefs = coefs.view()  # the caller's array stays writable
         coefs.setflags(write=False)
         object.__setattr__(self, "intercept", float(self.intercept))
         object.__setattr__(self, "coefficients", coefs)
@@ -147,15 +149,22 @@ class NewtonBatch(NamedTuple):
 
 # The Bernoulli kernel in the linear predictor eta = offset + design @ v.
 # Every likelihood, gradient and Hessian in the package is built from these.
-# Each takes one problem (design (n, p), vectors (n,)) or a stack of them
-# (design (B, n, p), vectors (B, n)). A member of a stack goes through the
-# same BLAS call, on the same shape and memory layout, as the problem alone,
-# so its result is bitwise the same. The likelihood and the probabilities
-# are built from e = exp(-|eta|), which the Newton engine computes once per
-# point and carries next to eta.
+# Each takes one problem (design (n, q), vectors (n,)) or a stack of them
+# (design (B, n, q), vectors (B, n)), with two options. ``intercept`` puts
+# an implicit leading column of ones in the design, so that v has p = q + 1
+# entries and an [1, X] problem passes X itself. ``shared`` (1, m, q) holds
+# rows that every member of a stack has, given once, ahead of its own rows:
+# the vectors then cover a member's m + n rows, the shared ones first. A
+# member of a stack goes through the same BLAS calls, on the same shapes and
+# memory layouts, as the problem alone (a shared part by broadcasting, the
+# same matrix in each member's call), so its result is bitwise the same.
+# The likelihood and the probabilities are built from e = exp(-|eta|),
+# which the Newton engine computes once per point and carries next to eta.
 def _softplus(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     """log(1 + exp(eta)) from ``e = exp(-|eta|)``, finite for finite eta."""
-    return np.maximum(eta, 0.0) + np.log1p(e)
+    softplus = np.maximum(eta, 0.0)
+    softplus += np.log1p(e)
+    return softplus
 
 
 def _probability(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -163,67 +172,156 @@ def _probability(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     e / (1 + e) below, clipped into (0, 1)."""
     prob = np.where(eta >= 0, 1.0, e)
     prob /= 1.0 + e
-    return np.clip(prob, _P_LO, _P_HI, out=prob)
+    np.maximum(prob, _P_LO, out=prob)
+    return np.minimum(prob, _P_HI, out=prob)
 
 
 def _log_likelihood(labels: np.ndarray, eta: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return (labels * eta - _softplus(eta, e)).sum(axis=-1)
+    terms = labels * eta
+    terms -= _softplus(eta, e)
+    return terms.sum(axis=-1)
 
 
-def _gradient(design: np.ndarray, labels: np.ndarray, eta: np.ndarray, e: np.ndarray):
+def _parts(design: np.ndarray, shared: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The row parts of a problem, in the order of its rows."""
+    return (design,) if shared is None else (shared, design)
+
+
+def _spans(parts) -> list[slice]:
+    """The slice of a member's rows that each of ``parts`` holds."""
+    spans, start = [], 0
+    for part in parts:
+        spans.append(slice(start, start + part.shape[-2]))
+        start = spans[-1].stop
+    return spans
+
+
+def _linear_predictor(design, vec, offset=None, intercept=False, shared=None) -> np.ndarray:
+    """eta = offset + design @ vec over each member's rows, one product per
+    row part, written into one array."""
+    coefficients = vec[..., 1:] if intercept else vec
+    if shared is None:
+        eta = _matvec(design, coefficients)
+    else:
+        parts = _parts(design, shared)
+        spans = _spans(parts)
+        members = np.broadcast_shapes(vec.shape[:-1], design.shape[:-2])
+        eta = np.empty(members + (spans[-1].stop,))
+        for part, rows in zip(parts, spans):
+            np.matmul(part, coefficients[..., None], out=eta[..., rows, None])
+    if offset is not None:
+        eta += offset
+    if intercept:
+        eta += vec[..., :1]
+    return eta
+
+
+def _gradient(design, labels, eta, e, intercept=False, shared=None):
     """Gradient of the log-likelihood in v, and the fitted probabilities."""
     prob = _probability(eta, e)
     residual = labels - prob
 
-    def block(rows: slice) -> np.ndarray:
-        return _matvec(np.swapaxes(design[..., rows, :], -1, -2), residual[..., rows])
+    def block(pieces, spans):
+        total = _matvec(pieces[0].swapaxes(-1, -2), residual[..., spans[0]])
+        for x, rows in zip(pieces[1:], spans[1:]):
+            total += _matvec(x.swapaxes(-1, -2), residual[..., rows])
+        return total
 
-    return _row_sum(design, block), prob
+    grad = _row_sum(_parts(design, shared), block)
+    if intercept:
+        grad = np.concatenate((residual.sum(axis=-1)[..., None], grad), axis=-1)
+    return grad, prob
 
 
 # Cells (rows x columns) that a transient array of a Newton call may hold:
 # the stacked design handed to the batched engine (the M6 design of a block
-# of repetitions, or the pooled M7 design of a chunk of one), the engine's
-# weighted copy z of it, the block's learning features, the link design's
-# scaled copy of them and their [1, X] design for M7's shared first step
-# (:func:`scorelink.links._first_steps`), each at most 8 bytes x 2**16
-# cells = 512 KiB. The links keep the stacked designs within it by chunking
-# (only a member larger than the budget, such as a pooled M7 design on a
-# large source, exceeds it, as a chunk of its own); :func:`_row_sum` keeps z
-# within it per member at any design height by summing the gradient and the
-# information over row blocks. The experiment's scoring pass gathers test
+# of repetitions), the engine's weighted copy z of a row block, the block's
+# learning features and the link design's scaled copy of them, each at most
+# 8 bytes x 2**16 cells = 512 KiB. There is no pooled M7 design: the engine
+# takes M7's source rows once, as rows every member shares, and makes their
+# weighted copy per member, a group of members within the budget at a
+# time, so the links chunk M7's members at half their pooled rows' cells,
+# m + n rows of d + 1 (a member larger than the budget is a chunk of its
+# own). The engine copies a shared part within the budget column-major,
+# once per call. :func:`_row_sum` keeps z within the budget per member at
+# any design height by summing the gradient and the information over row
+# blocks. The experiment's scoring pass gathers test
 # features and scores in chunks within the same budget.
 _BLOCK_CELLS = 2**16
 
 
-def _row_sum(design: np.ndarray, block) -> np.ndarray:
-    """The sum of ``block(rows)`` over ``design``'s rows in blocks of
-    ``_BLOCK_CELLS // p`` (at least one), in row order.
+def _row_sum(parts, block) -> np.ndarray:
+    """The sum of ``block(pieces, spans)`` over row blocks of
+    ``_BLOCK_CELLS // q`` rows (at least one), in row order.
 
-    Both reductions over the rows, the gradient and the information, go
-    through it. OpenBLAS does not split a block's row sum between its
-    threads, as it does a longer product's, so the result does not depend
-    on the thread count; and the block height depends only on ``p``, so a
-    member of a stack is bitwise the problem alone. A design of at most
-    one block takes a single product.
+    A block's rows run on across the row ``parts``: ``pieces`` are the
+    slices of parts that hold them, ``spans`` those rows' slices of a
+    member's vectors. Both reductions over the rows, the gradient and the
+    information, go through it. OpenBLAS does not split a block's row sum
+    between its threads, as it does a longer product's, so the result does
+    not depend on the thread count; and the blocks depend only on the
+    parts' shapes, so a member of a stack is bitwise the problem alone. A
+    problem of at most one block is that block, every part whole.
     """
-    height = max(1, _BLOCK_CELLS // max(1, design.shape[-1]))
-    total = block(slice(0, height))
-    for start in range(height, design.shape[-2], height):
-        total += block(slice(start, start + height))
+    height = max(1, _BLOCK_CELLS // max(1, parts[-1].shape[-1]))
+    spans = _spans(parts)
+    rows = spans[-1].stop
+    if rows <= height:
+        return block(parts, spans)
+    total = None
+    for lo in range(0, rows, height):
+        hi = min(lo + height, rows)
+        met = [(part, span) for part, span in zip(parts, spans)
+               if span.start < hi and lo < span.stop]
+        pieces = [part[..., max(lo - span.start, 0):hi - span.start, :] for part, span in met]
+        term = block(pieces, [slice(max(lo, span.start), min(hi, span.stop)) for _, span in met])
+        if total is None:
+            total = term
+        else:
+            total += term
     return total
 
 
-def _information(design: np.ndarray, prob: np.ndarray) -> np.ndarray:
+def _information(design, prob, intercept=False, shared=None) -> np.ndarray:
     """Negated Hessian of the log-likelihood in v: z^T z with
-    z = design * sqrt(prob * (1 - prob)), a symmetric product per block."""
+    z = design * sqrt(prob * (1 - prob)), a symmetric product per row block.
 
-    def block(rows: slice) -> np.ndarray:
-        mu = prob[..., rows]
-        z = design[..., rows, :] * np.sqrt(mu * (1.0 - mu))[..., None]
-        return np.swapaxes(z, -1, -2) @ z
+    A block's z is written into one array stored transposed, (p, rows):
+    sqrt(w) in its first row for the implicit intercept, then each part's
+    weighted rows, every write running along the rows. On German M7
+    chunks and on 3,276-row blocks this was faster than writing z row by
+    row, into a strided [sqrt(w), X sqrt(w)] array or as z^T z bordered by
+    z^T sqrt(w) and sum(w); on the M2-M6 designs it took the time, and gave
+    the bits, of the row-major copy. The copy is written for a group of
+    members at a time, as many as fit ``_BLOCK_CELLS`` together; each
+    member's product is the same BLAS call in any group.
+    """
+    root = np.sqrt(prob * (1.0 - prob))
 
-    return _row_sum(design, block)
+    def gram(pieces, spans, root):
+        lo, hi = spans[0].start, spans[-1].stop
+        zt = np.empty(root.shape[:-1] + (intercept + pieces[0].shape[-1], hi - lo))
+        if intercept:
+            zt[..., 0, :] = root[..., lo:hi]
+        for x, rows in zip(pieces, spans):
+            np.multiply(x.swapaxes(-1, -2), root[..., None, rows],
+                        out=zt[..., intercept:, rows.start - lo:rows.stop - lo])
+        return zt @ zt.swapaxes(-1, -2)
+
+    def block(pieces, spans):
+        # members in groups whose weighted copies fit the budget together
+        p = intercept + pieces[0].shape[-1]
+        group = max(1, _BLOCK_CELLS // max(1, p * (spans[-1].stop - spans[0].start)))
+        if root.ndim < 2 or len(root) <= group:
+            return gram(pieces, spans, root)
+        out = np.empty((len(root), p, p))
+        for start in range(0, len(root), group):
+            members = slice(start, start + group)
+            out[members] = gram([x if len(x) == 1 else x[members] for x in pieces], spans,
+                                root[members])
+        return out
+
+    return _row_sum(_parts(design, shared), block)
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -235,33 +333,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _intercept_design(features: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """The C-contiguous [1, X] design (..., n, d + 1) of (intercept,
-    coefficients) on ``features`` (..., n, d), and its ridge vector.
-
-    The intercept is never penalized.
-    """
-    *rows, d = features.shape
-    design = np.empty((*rows, d + 1))
-    design[..., 0] = 1.0
-    design[..., 1:] = features
-    return design, np.concatenate(([0.0], np.full(d, ridge)))
+def _intercept_ridge(d: int, ridge: float) -> np.ndarray:
+    """The ridge vector of (intercept, d coefficients); the intercept is
+    never penalized."""
+    return np.concatenate(([0.0], np.full(d, ridge)))
 
 
 def maximize_logistic(
     design: np.ndarray,
     labels: np.ndarray,
-    offset: np.ndarray | float = 0.0,
+    offset: np.ndarray | None = None,
     penalty: np.ndarray | None = None,
     center: np.ndarray | None = None,
     start: np.ndarray | None = None,
     max_iterations: int = 100,
     gradient_tolerance: float = 1e-8,
+    intercept: bool = False,
 ) -> NewtonBatch:
     """Newton maximization of the penalized logistic log-likelihood.
 
     Solves the (design, offset)-parameterized problem described in the
-    module docstring for one design of shape (n, p). It is the batch of
+    module docstring for one design of shape (n, q). It is the batch of
     one of :func:`maximize_logistic_batch`, which states the contract,
     and returns that member's fields: ``x`` (p,) and the convergence
     flag, iteration count and gradient norm as Python scalars.
@@ -271,12 +363,13 @@ def maximize_logistic(
     batch = maximize_logistic_batch(
         design[None],
         np.asarray(labels, dtype=float)[None],
-        np.broadcast_to(np.asarray(offset, dtype=float), (1, n)),
+        None if offset is None else np.broadcast_to(np.asarray(offset, dtype=float), (1, n)),
         penalty,
         center,
         start,
         max_iterations,
         gradient_tolerance,
+        intercept,
     )
     return NewtonBatch(
         batch.x[0],
@@ -289,17 +382,25 @@ def maximize_logistic(
 def maximize_logistic_batch(
     design: np.ndarray,
     labels: np.ndarray,
-    offset: np.ndarray,
+    offset: np.ndarray | None = None,
     penalty: np.ndarray | None = None,
     center: np.ndarray | None = None,
     start: np.ndarray | None = None,
     max_iterations: int = 100,
     gradient_tolerance: float = 1e-8,
+    intercept: bool = False,
+    shared: np.ndarray | None = None,
 ) -> NewtonBatch:
     """Newton maximization of a stack of independent penalized problems.
 
-    ``design`` has shape (B, n, p), ``labels`` and ``offset`` shape
-    (B, n); ``penalty`` and ``center`` (p,) are shared. Each member is its
+    ``design`` has shape (B, n, q). With ``intercept`` the design has an
+    implicit leading column of ones, so that a problem has p = q + 1
+    parameters, the intercept first; without it p = q. ``shared`` (1, m,
+    q), if given, holds rows that every member has ahead of its own: each
+    member's problem is the rows of ``shared`` followed by those of its
+    design, and ``labels`` and ``offset`` (B, m + n) cover them all, the
+    shared rows first. The offset is zero if None. ``penalty`` and
+    ``center`` (p,) are shared. Each member is its
     own optimization. It stops once its gradient norm is within
     ``gradient_tolerance``, when its line search reaches the step floor,
     or after ``max_iterations`` steps. It starts at ``start``, zero by
@@ -326,9 +427,16 @@ def maximize_logistic_batch(
 
     Finished members are compacted out of ``design``, ``labels`` and
     ``offset`` in place, so with B > 1 these must be writable arrays
-    that the caller hands over.
+    that the caller hands over; ``shared`` is only read. A shared part of
+    at most ``_BLOCK_CELLS`` cells is copied column-major once per call:
+    its weighted copy is then written along contiguous columns, and M7 on
+    German's 726 source rows ran about 5% faster than on row-major rows.
+    A larger one is read in place, so that its rows are held once.
     """
-    batch, _, p = design.shape
+    batch, _, q = design.shape
+    p = q + intercept
+    if shared is not None and shared.size <= _BLOCK_CELLS:
+        shared = np.asfortranarray(shared)
     penalty = np.zeros(p) if penalty is None else np.asarray(penalty, dtype=float)
     center = np.zeros(p) if center is None else np.asarray(center, dtype=float)
     start = np.zeros(p) if start is None else np.asarray(start, dtype=float)
@@ -337,7 +445,9 @@ def maximize_logistic_batch(
     def objective(vec):
         """The leading ``len(vec)`` members' objective at ``vec``, eta and exp(-|eta|)."""
         k = len(vec)
-        eta = offset[:k] + _matvec(design[:k], vec)
+        eta = _linear_predictor(
+            design[:k], vec, None if offset is None else offset[:k], intercept, shared
+        )
         e = _exp_neg_abs(eta)
         value = _log_likelihood(labels[:k], eta, e) - 0.5 * _dot(penalty, (vec - center) ** 2)
         return value, eta, e
@@ -356,7 +466,7 @@ def maximize_logistic_batch(
 
     while True:
         k = len(v)
-        grad, prob = _gradient(design[:k], labels[:k], eta, e)
+        grad, prob = _gradient(design[:k], labels[:k], eta, e, intercept, shared)
         grad -= penalty * (v - center)
         squared_norm = _dot(grad, grad)
         gradient_norm = np.sqrt(squared_norm)
@@ -378,7 +488,8 @@ def maximize_logistic_batch(
             grad, prob, squared_norm = grad[keep], prob[keep], squared_norm[keep]
             k = len(keep)
 
-        step = _newton_steps(_information(design[:k], prob) + penalty_hessian, grad)
+        information = _information(design[:k], prob, intercept, shared)
+        step = _newton_steps(information + penalty_hessian, grad)
         slope = _dot(grad, step)
         uphill = slope <= 0.0  # numerically not an ascent direction
         if uphill.any():
@@ -409,7 +520,9 @@ def maximize_logistic_batch(
 
 
 def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
-    """Move rows ``keep`` (ascending) of each stack to its front, in place."""
+    """Move rows ``keep`` (ascending) of each stack (None: no stack) to its
+    front, in place."""
+    stacks = [stack for stack in stacks if stack is not None]
     for row, member in enumerate(keep):
         if row != member:
             for stack in stacks:
@@ -473,18 +586,18 @@ def log_likelihood(params: LogisticParams, sample: LabeledSample, ridge: float =
 def gradient(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> np.ndarray:
     """Gradient of :func:`log_likelihood` w.r.t. (intercept, coefficients)."""
     _check_dimensions(params, sample)
-    design, penalty = _intercept_design(sample.features, ridge)
     eta = params.linear_predictor(sample.features)
-    grad, _ = _gradient(design, sample.labels, eta, _exp_neg_abs(eta))
+    grad, _ = _gradient(sample.features, sample.labels, eta, _exp_neg_abs(eta), intercept=True)
+    penalty = _intercept_ridge(sample.dimension, ridge)
     return grad - penalty * np.concatenate(([params.intercept], params.coefficients))
 
 
 def hessian(params: LogisticParams, sample: LabeledSample, ridge: float = 0.0) -> np.ndarray:
     """Hessian of :func:`log_likelihood`: symmetric, negative semi-definite."""
     _check_dimensions(params, sample)
-    design, penalty = _intercept_design(sample.features, ridge)
     prob = sigmoid(params.linear_predictor(sample.features))
-    return -(_information(design, prob) + np.diag(penalty))
+    information = _information(sample.features, prob, intercept=True)
+    return -(information + np.diag(_intercept_ridge(sample.dimension, ridge)))
 
 
 _SINGLE_CLASS = "degenerate labels: sample contains a single class and ridge = 0"
@@ -510,13 +623,13 @@ def fit_mle(sample: LabeledSample, config: FitConfig = FitConfig()) -> FitReport
     (error,) = _class_errors(sample.labels.sum(keepdims=True), sample.n_records, config.ridge)
     if error is not None:
         raise error
-    design, penalty = _intercept_design(sample.features, config.ridge)
     result = maximize_logistic(
-        design,
+        sample.features,
         sample.labels,
-        penalty=penalty,
+        penalty=_intercept_ridge(sample.dimension, config.ridge),
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
+        intercept=True,
     )
     params = LogisticParams(result.x[0], result.x[1:])
     return FitReport(

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scorelink.logistic as logistic_module
+from scorelink import LabeledSample, fit_mle
 from scorelink.logistic import maximize_logistic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,6 +45,24 @@ def test_newton_counts_read_a_2d_fit(stages, rng):
     counts = stages._newton_counts((design, labels), {}, result)
     assert counts == {"iterations": result.iterations, "converged": int(result.converged),
                       "cells": 40 * 3}
+
+
+def test_fit_mle_reaches_the_traced_newton_once(stages, rng, monkeypatch):
+    """One fit_mle call makes exactly one call of the traced 2-D
+    maximize_logistic, on the sample's own (n, d) features: the counts the
+    tracer reads off it say n x d cells."""
+    counts, traced = [], logistic_module.maximize_logistic
+
+    def recording(*args, **kwargs):
+        result = traced(*args, **kwargs)
+        counts.append(stages._newton_counts(args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(logistic_module, "maximize_logistic", recording)
+    sample = LabeledSample(rng.normal(size=(40, 2)), np.arange(40) % 2, ("a", "b"))
+    report = fit_mle(sample)
+    assert counts == [{"iterations": report.iterations, "converged": int(report.converged),
+                       "cells": 40 * 2}]
 
 
 def scorelink_imports():

@@ -22,13 +22,49 @@ from scorelink import (
 )
 from scorelink import dataset as dataset_module
 from scorelink.dataset import _format_number, file_sha256, write_csv
-from scorelink.gaussian import random_homoscedastic_pair, sample_mixture
+from scorelink.gaussian import (
+    AffineLink,
+    GaussianClassParams,
+    random_homoscedastic_pair,
+    sample_mixture,
+)
+from scorelink.links import TransitionParams
+from scorelink.logistic import LogisticParams
 
 
 def write_lines(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# each frozen class: its constructor on caller arrays, and the fields that hold them
+FROZEN = {
+    "LabeledSample": (lambda a, b: LabeledSample(a, b, ("x", "y")), ("features", "labels")),
+    "AffineLink": (AffineLink, ("scale", "offset")),
+    "GaussianClassParams": (GaussianClassParams, ("mean", "covariance")),
+    "LogisticParams": (lambda a, _: LogisticParams(0.0, a), ("coefficients",)),
+    "TransitionParams": (lambda a, _: TransitionParams(0.0, a), ("scale",)),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_frozen_arrays_leave_the_callers_writable(name):
+    """A constructor makes its own arrays read-only, as views of the
+    caller's, without freezing the caller's arrays or copying them."""
+    construct, fields = FROZEN[name]
+    arrays = {
+        "LabeledSample": (np.zeros((3, 2)), np.array([0, 1, 0])),
+        "AffineLink": (np.ones(2), np.zeros(2)),
+        "GaussianClassParams": (np.zeros(2), np.eye(2)),
+    }.get(name, (np.ones(2), None))
+    made = construct(*arrays)
+    for field, caller in zip(fields, arrays):
+        own = getattr(made, field)
+        assert np.shares_memory(own, caller)
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 1
+        caller[0] = 1  # no error: the caller's array stays writable
 
 
 class TestLoadCsv:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -267,12 +268,14 @@ class TestOutputs:
 
 # sha256 of the `scorelink experiment --sizes 50,200 --repetitions 5` outputs
 # on the packaged german.csv (seed 0). Frozen; the raw-records digest was
-# re-pinned three times: when M7 began at the source fit and a Newton step
+# re-pinned four times: when M7 began at the source fit and a Newton step
 # took one linear solve, when the kernel took one exp per Newton point and
-# summed the gradient and a symmetric information over row blocks, and when
-# every M7 refit began one shared Newton step from the source fit.
+# summed the gradient and a symmetric information over row blocks, when
+# every M7 refit began one shared Newton step from the source fit, and when
+# the engine took the intercept column implicit and M7's source rows once,
+# as rows its members share.
 GOLDEN_SHA256 = {
-    "raw_records.csv": "3e5b504c32ba67764bde790d20a5ce18a4b26b8842bdddfbe531d33d02bcf264",
+    "raw_records.csv": "c48a83818a07da32a21193afa030db434599e65af6048ff0335b5b9c4920268c",
     "tables_test_error.csv": "2564b04dbbec654bf193c6b60c15e47bb0f8b82dcd6a5fd39eeef7d28f7fcdf7",
     "tables_type_i.csv": "ab79c732a0929d7bd23ff5dab0afdc062f6cbcd57183f3b28a69f47b116dc787",
     "tables_type_ii.csv": "9f2aea02a3d8e60da8d0456b21f186b1ed6cdb30af5a1ba84addc7a973703df7",
@@ -369,9 +372,11 @@ class TestBlocks:
         calls = {"batch": [], "fit_m7": 0, "fit_mle": 0}
         batch = links_module.maximize_logistic_batch
 
-        def counting_batch(design, *args, **kwargs):
-            calls["batch"].append(design.shape[:2])
-            return batch(design, *args, **kwargs)
+        def counting_batch(design, *args, shared=None, **kwargs):
+            # members, and the rows of each, the source rows M7 shares included
+            rows = design.shape[1] + (0 if shared is None else shared.shape[1])
+            calls["batch"].append((design.shape[0], rows))
+            return batch(design, *args, shared=shared, **kwargs)
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -383,20 +388,49 @@ class TestBlocks:
         monkeypatch.setattr(links_module, "fit_m7", counting("fit_m7", links_module.fit_m7))
         fit_mle = counting("fit_mle", experiment_module.fit_mle)
         monkeypatch.setattr(experiment_module, "fit_mle", fit_mle)
-        config = ExperimentConfig(learning_sizes=(50, 100), repetitions=4, seed=202)
+        config = ExperimentConfig(learning_sizes=(50, 100), repetitions=8, seed=202)
         run_experiment(source, target, config)
-        # each block holds all 4 repetitions: M2-M6 once per (size, block), M1
-        # never, and M7 once per chunk of the block within the cell budget,
-        # (726 + n) x 20 cells a member: one chunk of 4 at n = 50, two of 2 at 100
+        # each block holds all 8 repetitions: M2-M6 once per (size, block), M1
+        # never, and M7 once per chunk of the block within the cell budget, a
+        # member counted at half its (726 + n) x 20 pooled cells: one chunk of
+        # 8 at n = 50, two of 4 at 100
         source_rows = source.n_records
         assert calls["batch"] == (
-            [(4, 50)] * 5 + [(4, source_rows + 50)] + [(4, 100)] * 5 + [(2, source_rows + 100)] * 2
+            [(8, 50)] * 5 + [(8, source_rows + 50)] + [(8, 100)] * 5 + [(4, source_rows + 100)] * 2
         )
-        for n, size in ((50, 4), (100, 3)):
-            member = (source_rows + n) * 20
+        for n, size in ((50, 8), (100, 7)):
+            member = (source_rows + n) * 20 // 2
             assert size * member <= links_module._BLOCK_CELLS < (size + 1) * member
         # no fit per repetition; fit_mle only for the source
         assert (calls["fit_m7"], calls["fit_mle"]) == (0, 1)
+
+
+class TestMemory:
+    def test_run_holds_the_source_rows_once(self):
+        """A run on a 30,000 x 20 source allocates less, at its traced peak,
+        than the source features themselves take: neither the source fit,
+        nor the source terms, nor a unit's pooled M7 refits copy the source
+        rows."""
+        rng = np.random.default_rng(11)
+        d = 20
+        names = tuple(f"x{j}" for j in range(d))
+        coefficients = rng.normal(scale=0.3, size=d)
+
+        def draw(n, shift):
+            features = rng.normal(size=(n, d)) + shift
+            labels = (rng.random(n) < 1 / (1 + np.exp(-features @ coefficients))).astype(int)
+            return LabeledSample(features, labels, names)
+
+        source, target = draw(30_000, 0.0), draw(600, 0.5)
+        config = ExperimentConfig(learning_sizes=(100, 200), repetitions=2, seed=4)
+        tracemalloc.start()
+        try:
+            result = run_experiment(source, target, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.failures == 0
+        assert peak < source.features.nbytes
 
 
 class TestBlockFailures:
@@ -445,9 +479,9 @@ class TestBlockFailures:
         reference = run_experiment(source, target, config).records
         batch = links_module.maximize_logistic_batch
 
-        def corrupting(design, *args, **kwargs):
-            result = batch(design, *args, **kwargs)
-            if design.shape[1] > 50:  # the pooled M7 design
+        def corrupting(design, *args, shared=None, **kwargs):
+            result = batch(design, *args, shared=shared, **kwargs)
+            if shared is not None:  # M7: every member shares the source rows
                 result.x[1] = np.inf
             return result
 

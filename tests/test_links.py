@@ -556,7 +556,7 @@ def m7_blocks(draw):
         source = zero_first_column(source)
         learnings = [zero_first_column(s) if z else s for s, z in zip(learnings, zero)]
         ridge = 0.0
-    member_cells = (source.n_records + n) * (d + 1)
+    member_cells = (source.n_records + n) * (d + 1) // 2  # what a chunk counts
     budget = draw(st.integers(1, 4)) * member_cells + draw(st.integers(0, member_cells - 1))
     return source, learnings, FitConfig(ridge=ridge), budget
 
@@ -569,16 +569,28 @@ def fit_m7_start(source, config):
         return zero_start(source.dimension)
 
 
+def intercept_design(features, ridge):
+    """The C-contiguous [1, X] design (..., n, d + 1) of (intercept,
+    coefficients) on ``features`` (..., n, d), and its ridge vector, which
+    leaves the intercept unpenalized: the explicit form of the engine's
+    implicit intercept column."""
+    *rows, d = features.shape
+    design = np.empty((*rows, d + 1))
+    design[..., 0] = 1.0
+    design[..., 1:] = features
+    return design, np.concatenate(([0.0], np.full(d, ridge)))
+
+
 def pooled_fit(source, learning, config, start):
-    """The pooled refit as fit_mle's one-problem Newton run on the stacked
-    rows, started at ``start`` without a shared first step: its parameters,
-    convergence flag and Newton iterations."""
+    """The pooled refit as one Newton run of the engine on the explicit
+    [1, X] design of the stacked rows, started at ``start`` without a shared
+    first step: its parameters, convergence flag and Newton iterations."""
     pooled = LabeledSample(
         np.vstack([source.features, learning.features]),
         np.concatenate([source.labels, learning.labels]),
         learning.feature_names,
     )
-    design, penalty = logistic_module._intercept_design(pooled.features, config.ridge)
+    design, penalty = intercept_design(pooled.features, config.ridge)
     result = logistic_module.maximize_logistic_batch(
         design[None],
         pooled.labels[None].astype(float),
@@ -612,6 +624,37 @@ class TestM7Blocks:
             alone = fit_m7(source, learning, config)
             assert params_bits(fit.target_params) == params_bits(alone.target_params)
             assert (fit.converged, fit.log_likelihood) == (alone.converged, alone.log_likelihood)
+
+    @settings(max_examples=40)
+    @given(m7_blocks())
+    def test_shared_source_rows_match_the_pooled_design(self, block):
+        """The engine on a block whose members share the source rows, given
+        once, with the implicit intercept, reaches each member's fit on its
+        explicitly pooled [1, X] design (pooled_fit) from the same start:
+        parameters within 1e-10 relative to 1 + their norm (an optimum may
+        sit at zero), the same convergence flag and the same Newton
+        iterations. Only the order of the row sums differs."""
+        source, learnings, config, _ = block
+        start = fit_m7_start(source, config)
+        features = np.stack([learning.features for learning in learnings])
+        labels = np.stack([
+            np.concatenate([source.labels, learning.labels]) for learning in learnings
+        ]).astype(float)
+        result = logistic_module.maximize_logistic_batch(
+            features,
+            labels,
+            penalty=logistic_module._intercept_ridge(source.dimension, config.ridge),
+            start=np.concatenate(([start.intercept], start.coefficients)),
+            max_iterations=config.max_iterations,
+            gradient_tolerance=config.gradient_tolerance,
+            intercept=True,
+            shared=source.features[None],
+        )
+        for b, learning in enumerate(learnings):
+            params, converged, iterations = pooled_fit(source, learning, config, start)
+            want = np.concatenate(([params.intercept], params.coefficients))
+            assert np.linalg.norm(result.x[b] - want) <= 1e-10 * (1.0 + np.linalg.norm(want))
+            assert (bool(result.converged[b]), int(result.iterations[b])) == (converged, iterations)
 
     def test_zero_column_member_takes_least_squares(self, rng, monkeypatch):
         truth = LogisticParams(0.3, np.array([0.8, -1.0]))
@@ -714,9 +757,9 @@ class TestM7Start:
         pooled design, up to the order of the row sums."""
         config = FitConfig()
         terms = links_module._source_terms(source, source_fit.params)
+        penalty = logistic_module._intercept_ridge(source.dimension, config.ridge)
         for rows, features, labels in blocks.values():
-            design, penalty = logistic_module._intercept_design(features, config.ridge)
-            starts = links_module._first_steps(terms, design, labels, penalty)
+            starts = links_module._first_steps(terms, features, labels, penalty)
             for start, x, y in zip(starts, features, labels):
                 learning = LabeledSample(x, y, source.feature_names)
                 one_step = FitConfig(max_iterations=1)
@@ -766,9 +809,9 @@ class TestBlockUnpacking:
 
 
 # sha256 of the M1-M7 block fits of golden_blocks(), as fits_digest hashes them
-BLOCK_FITS_SHA256 = "14bc4e73e23aac6b372d73afcc68d57858470a322c03ad3b9921e14c01cdc2cb"
-# M7 chunks of two members: the pooled design of a member has (40 + 20) x (d + 1) cells
-GOLDEN_M7_CELLS = 2 * (40 + 20)
+BLOCK_FITS_SHA256 = "4809f63cba69d4a1d78729643f7243b2fb80603ea74a0c7dc2900585bd330f18"
+# M7 chunks of two members, each counted at half its (40 + 20) x (d + 1) pooled cells
+GOLDEN_M7_CELLS = 40 + 20
 
 
 def golden_blocks():
@@ -819,9 +862,10 @@ class TestBlockDigest:
         re-pinned when M7 began at the source fit and a Newton step took
         one linear solve, when the kernel took one exp per Newton point
         and summed the gradient and a symmetric information over row
-        blocks, and when M7 took a shared first Newton step; only such a
-        deliberate numerical re-baseline updates it, and says so in
-        CHANGES.md.
+        blocks, when M7 took a shared first Newton step, and when the
+        engine took the intercept column implicit and M7's source rows
+        once, as rows its members share; only such a deliberate numerical
+        re-baseline updates it, and says so in CHANGES.md.
         """
         digest = hashlib.sha256()
         for source, source_sample, learnings, config in golden_blocks():

@@ -290,6 +290,53 @@ class TestFitMle:
         assert source_fit.iterations <= 100
 
 
+class TestImplicitIntercept:
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(40, 120),
+           st.sampled_from([0.0, 1e-8, 0.5]), st.booleans())
+    @example(seed=1, d=3, n=60, ridge=0.0, zero_column=True)
+    def test_fit_mle_matches_the_explicit_design(self, seed, d, n, ridge, zero_column):
+        """fit_mle passes the sample's own features with the engine's
+        implicit intercept column. It reaches the engine's fit on the
+        explicit [1, X] design: parameters within 1e-12 relative to
+        1 + their norm, the same iteration count and the same converged
+        flag. A sample with a zero column at ridge 0 has a singular
+        information, and both paths take the least-squares fallback."""
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, d))
+        truth = rng.normal(scale=0.5, size=d + 1)
+        labels = (rng.random(n) < sigmoid(truth[0] + features @ truth[1:])).astype(int)
+        labels[:2] = (0, 1)
+        if zero_column:
+            features[:, 0], ridge = 0.0, 0.0
+        sample = LabeledSample(features, labels, tuple(f"x{j}" for j in range(d)))
+        config = FitConfig(ridge=ridge)
+        lstsq, singular = np.linalg.lstsq, []
+
+        def recording(a, b, rcond=None):
+            singular.append(True)
+            return lstsq(a, b, rcond=rcond)
+
+        with mock.patch.object(np.linalg, "lstsq", recording):
+            report = fit_mle(sample, config)
+            implicit_fallbacks = len(singular)
+            explicit = maximize_logistic_batch(
+                np.column_stack([np.ones(n), features])[None],
+                labels[None].astype(float),
+                penalty=np.concatenate(([0.0], np.full(d, ridge))),
+                max_iterations=config.max_iterations,
+                gradient_tolerance=config.gradient_tolerance,
+            )
+        got = np.concatenate(([report.params.intercept], report.params.coefficients))
+        assert np.linalg.norm(got - explicit.x[0]) <= 1e-12 * (1.0 + np.linalg.norm(explicit.x[0]))
+        assert (report.iterations, report.converged) == (
+            int(explicit.iterations[0]), bool(explicit.converged[0])
+        )
+        assert report.converged
+        if zero_column:
+            assert 0 < implicit_fallbacks < len(singular)
+
+
 class TestSerialization:
     def test_json_roundtrip_full_precision(self, source_fit, tmp_path):
         params = source_fit.params
@@ -643,6 +690,64 @@ class TestOneExpKernel:
             assert_same_bits(grad[b], alone[0])
             gap = np.linalg.norm(grad[b] - reference[b])
             assert gap <= 1e-12 * np.linalg.norm(reference[b])
+
+
+@st.composite
+def shared_stacks(draw):
+    """A stack of problems whose members share a (1, m, q) part of their
+    rows ahead of their own (B, n, q) rows, and a cell budget whose row
+    blocks may end inside either part or straddle the two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 60)), draw(st.integers(1, 30))
+    members = draw(st.integers(1, 4))
+    shared = rng.normal(size=(1, m, q))
+    own = rng.normal(size=(members, n, q))
+    truth = rng.normal(scale=0.5, size=q + 1)
+    labels = (rng.random((members, m + n)) < 0.5).astype(float)
+    budget = q * draw(st.integers(1, m + n + 1))
+    return shared, own, labels, truth, budget
+
+
+class TestSharedRows:
+    @settings(max_examples=40)
+    @given(shared_stacks())
+    def test_kernels_equal_the_explicit_pooled_design(self, stack):
+        """With the implicit intercept and the shared rows given once, the
+        linear predictor, the gradient and the information equal those of
+        the explicit [1, X] design of each member's pooled rows within
+        1e-12 relative, whatever rows the cell budget's blocks hold."""
+        shared, own, labels, v, budget = stack
+        members, n, q = own.shape
+        pooled = np.concatenate([np.broadcast_to(shared, (members, *shared.shape[1:])), own], 1)
+        design = np.concatenate([np.ones((*pooled.shape[:2], 1)), pooled], axis=2)
+        with mock.patch.object(logistic_module, "_BLOCK_CELLS", budget):
+            eta = logistic_module._linear_predictor(own, v, intercept=True, shared=shared)
+            e = logistic_module._exp_neg_abs(eta)
+            grad, prob = logistic_module._gradient(own, labels, eta, e, True, shared)
+            information = logistic_module._information(own, prob, True, shared)
+        want_eta = design @ v
+        want_grad = np.swapaxes(design, -1, -2) @ (labels - prob)[..., None]
+        want_information = single_product(design, prob)
+        for got, want in ((eta, want_eta), (grad, want_grad[..., 0]),
+                          (information, want_information)):
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+    @settings(max_examples=40)
+    @given(shared_stacks())
+    def test_member_equals_its_batch_of_one(self, stack):
+        """Each member of a stack with shared rows is bitwise the member
+        fitted alone with the same shared rows, also when the cell budget
+        splits and straddles the parts or leaves the shared part too large
+        for its column-major copy."""
+        shared, own, labels, truth, budget = stack
+        settings = dict(penalty=np.full(own.shape[-1] + 1, 1e-8), intercept=True, shared=shared)
+        with mock.patch.object(logistic_module, "_BLOCK_CELLS", budget):
+            batch = maximize_logistic_batch(own.copy(), labels.copy(), **settings)
+            for b in range(len(own)):
+                alone = maximize_logistic_batch(own[b:b + 1].copy(), labels[b:b + 1].copy(),
+                                                **settings)
+                for field in NewtonBatch._fields:
+                    assert_same_bits(getattr(batch, field)[b], getattr(alone, field)[0])
 
 
 def information_stack(rng, members, p):

@@ -30,7 +30,7 @@ from .dataset import (
     DEFAULT_TARGET_COLUMN,
     file_sha256,
     load_csv,
-    split_by_account_status,
+    load_subpopulations,
     write_csv,
 )
 from .evaluation import confusion, error_report
@@ -215,8 +215,7 @@ def _check_out_dir(out: str) -> None:
 
 
 def _subpopulations(args):
-    sample = load_csv(args.data, args.target_column)
-    return split_by_account_status(sample, args.split_column)
+    return load_subpopulations(args.data, args.target_column, args.split_column)
 
 
 def _cmd_split(args) -> int:

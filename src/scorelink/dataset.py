@@ -7,11 +7,22 @@ number. The target column (``kredit``) is 1 for creditworthy borrowers and
 customers (value > 1) from non-customers (value = 1).
 
 A CSV body is read by numpy's C parser, handed the file by path, past the
-header, so that its C reader pulls the text in chunks. A body the parser
+header, so that its C reader pulls the text in chunks, and bounded by the
+file's line count, so that it allocates its table once. A body the parser
 rejects, or whose table fails the label or finiteness check, is read
 cell by cell with ``float()``, which words the error with its row and
 column and accepts the few spellings ``loadtxt`` does not. Both give
-bitwise the same sample.
+bitwise the same table.
+
+The loaders hand out the parsed table's own buffer. :func:`load_csv`
+gathers the feature columns over its front, in place, after copying the
+labels out. :func:`load_subpopulations` copies the labels and the small
+target side out, then gathers the source rows there. A source sample
+thus sits in the parse buffer, whose unused tail, the share of the label
+and split columns and of the target rows (about 2 of 18 MB on a
+100,000-row source with 20 features), lives as long as the source does.
+:func:`split_by_account_status` copies, because its caller owns the
+sample.
 
 Learning/test partitions are drawn with numpy's Philox bit generator
 (philox4x64), a published counter-based PRNG, keyed by
@@ -35,6 +46,11 @@ from .exceptions import DataError
 
 DEFAULT_TARGET_COLUMN = "kredit"
 DEFAULT_SPLIT_COLUMN = "laufkont"
+
+# Cells (rows x columns) that a transient array may hold: 8 bytes x 2**16
+# cells = 512 KiB. The loaders gather the kept columns in row blocks within
+# it; logistic.py says how the Newton calls stay within it.
+_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,71 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     a missing target column, an unparseable or non-finite cell (reported
     with row and column, blank lines counted), a label other than 0 or 1,
     or an empty table.
+
+    The features are the parsed table's own buffer, the label column
+    gathered out in place.
     """
+    table, header = _read_table(path, target_column)
+    label = header.index(target_column)
+    labels = table[:, label].astype(int)
+    keep = [j for j in range(len(header)) if j != label]
+    features = _gather_in_place(table, np.ones(len(table), dtype=bool), keep)
+    return LabeledSample(features, labels, tuple(header[j] for j in keep))
+
+
+def load_subpopulations(
+    path: str | Path,
+    target_column: str = DEFAULT_TARGET_COLUMN,
+    split_column: str = DEFAULT_SPLIT_COLUMN,
+) -> tuple[LabeledSample, LabeledSample]:
+    """``split_by_account_status(load_csv(path, target_column), split_column)``,
+    from one parsed table.
+
+    The file is read as :func:`load_csv` reads it and the split is checked
+    as :func:`split_by_account_status` checks it, with the same errors.
+    The target rows and both sides' labels are copied out first; the
+    source rows are then gathered over the front of the table's own
+    buffer, so the table and a copy of the source never coexist.
+    """
+    table, header = _read_table(path, target_column)
+    label = header.index(target_column)
+    _split_index(tuple(h for h in header if h != target_column), split_column)
+    split = header.index(split_column)
+    source = _source_mask(table[:, split], split_column)
+    keep = [j for j in range(len(header)) if j not in (label, split)]
+    names = tuple(header[j] for j in keep)
+    labels = table[:, label].astype(int)
+    target = LabeledSample(table[np.ix_(~source, keep)], labels[~source], names)
+    labels = labels[source]
+    return LabeledSample(_gather_in_place(table, source, keep), labels, names), target
+
+
+def _gather_in_place(table: np.ndarray, rows: np.ndarray, cols: list[int]) -> np.ndarray:
+    """``table[np.ix_(rows, cols)]`` written over the front of ``table``'s
+    own buffer; a C-contiguous view of it.
+
+    ``table`` is C-contiguous, ``rows`` a boolean mask of its rows and
+    ``cols`` ascending column indices. The rows are read in blocks of at
+    most ``_BLOCK_CELLS`` output cells, in row order, each block copied
+    out before it is written back. Output cell (i, j) lies at or before
+    input cell (rows[i], cols[j]), and a block's output ends before the
+    next block's input begins, so no cell is overwritten before it is
+    read. ``table``'s contents past the view are left as they are.
+    """
+    height = max(1, _BLOCK_CELLS // max(1, len(cols)))
+    count = int(np.count_nonzero(rows))
+    out = table.reshape(-1)[: count * len(cols)].reshape(count, len(cols))
+    done = 0
+    for lo in range(0, len(table), height):
+        picked = lo + np.flatnonzero(rows[lo : lo + height])
+        out[done : done + len(picked)] = table[np.ix_(picked, cols)]
+        done += len(picked)
+    return out
+
+
+def _read_table(path: str | Path, target_column: str) -> tuple[np.ndarray, list[str]]:
+    """The parsed C-contiguous table and its header: every column, the
+    target's cells 0 or 1 and every other cell finite."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -147,9 +227,9 @@ def load_german_credit() -> LabeledSample:
 _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _parse_csv(f, target_column: str, path: Path) -> LabeledSample:
+def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str]]:
     """Parse the file at ``path``, open as the text stream ``f`` (opened
-    with ``newline=""``)."""
+    with ``newline=""``), into :func:`_read_table`'s table and header."""
     origin = str(path)
     reader = csv.reader(f)
     try:
@@ -163,14 +243,16 @@ def _parse_csv(f, target_column: str, path: Path) -> LabeledSample:
     if target_column not in header:
         raise DataError(f"{origin}: target column {target_column!r} not in header")
     target_idx = header.index(target_column)
-    feature_names = tuple(h for k, h in enumerate(header) if k != target_idx)
 
     # numpy reads the file past the header's physical lines: a quoted header
     # cell may hold a line break, and numpy's skiprows counts lines, as csv's
     # line_num does. ``f`` stays past the header for the row loop.
     if f.seekable() and path.suffix not in _DECOMPRESSED_SUFFIXES:
+        lines = _line_count(path)
         with warnings.catch_warnings():  # a header-only file is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # blank lines are not rows; numpy warns that it once counted them
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
             try:
                 table = np.loadtxt(
                     str(path),
@@ -180,22 +262,49 @@ def _parse_csv(f, target_column: str, path: Path) -> LabeledSample:
                     ndmin=2,
                     dtype=float,
                     skiprows=reader.line_num,
+                    max_rows=None if lines is None else lines - reader.line_num,
                     encoding="utf-8",
                 )
             except ValueError:
                 table = None
-        if table is not None and table.shape[0] > 0 and table.shape[1] == len(header):
-            labels = table[:, target_idx]
-            features = np.delete(table, target_idx, axis=1)
-            if np.all((labels == 0) | (labels == 1)) and np.isfinite(features).all():
-                return LabeledSample(features, labels.astype(int), feature_names)
-    return _parse_rows(reader, header, target_idx, feature_names, origin)
+        if (
+            table is not None
+            and table.shape[0] > 0
+            and table.shape[1] == len(header)
+            and np.all((table[:, target_idx] == 0) | (table[:, target_idx] == 1))
+            and np.isfinite(table).all()  # with 0/1 labels, a non-finite cell is a feature's
+        ):
+            return table, header
+        del table  # not held through the row loop
+    return _parse_rows(reader, header, target_idx, origin), header
 
 
-def _parse_rows(reader, header, target_idx, feature_names, origin: str) -> LabeledSample:
-    """The body after the header, one ``float()`` per cell, row by row."""
+def _line_count(path: Path) -> int | None:
+    """Physical lines of the file at ``path``, or None if it holds a
+    carriage return, a line end that this count would miss.
+
+    Each row takes at least one line, so the lines past the header bound
+    the rows. Given that bound, ``np.loadtxt`` allocates its table once,
+    at its final size when no line is blank, instead of growing it by
+    reallocation. A process that loads the file again then asks for a
+    block of the same size, which fits where the last table was freed;
+    the growing table's larger blocks did not always fit, and a second
+    table's worth of memory then stayed resident.
+    """
+    lines, last = 0, b"\n"
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            if b"\r" in chunk:
+                return None
+            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _parse_rows(reader, header, target_idx, origin: str) -> np.ndarray:
+    """The body after the header as a table, one ``float()`` per cell, row
+    by row."""
     rows = []
-    labels = []
     blank = []  # reader indices of skipped empty lines
     for i, row in enumerate(reader):
         if not row:
@@ -211,26 +320,24 @@ def _parse_rows(reader, header, target_idx, feature_names, origin: str) -> Label
                 raise DataError(
                     f"{origin}: cell at row {i + 2}, column {header[j]!r} is not numeric: {cell!r}"
                 ) from None
-        label = values.pop(target_idx)
+        label = values[target_idx]
         if label not in (0.0, 1.0):
             raise DataError(f"{origin}: row {i + 2}: label must be 0 or 1, got {label}")
         rows.append(values)
-        labels.append(int(label))
 
     if not rows:
         raise DataError(f"{origin}: empty dataset (header only)")
-    features = np.array(rows)
+    table = np.array(rows)
     del rows  # the parsed rows are the peak memory of loading; the mask comes after
-    finite = np.isfinite(features)
+    finite = np.isfinite(table)  # the labels are 0 or 1, so finite
     if not finite.all():
         k, j = np.argwhere(~finite)[0]
-        value = features[k, j]
+        value = table[k, j]
         for i in blank:  # k becomes the reader index of the k-th data row
             if i <= k:
                 k += 1
-        raise DataError(f"{origin}: cell at row {k + 2}, column "
-                        f"{feature_names[j]!r} is not finite: {value}")
-    return LabeledSample(features, np.array(labels), feature_names)
+        raise DataError(f"{origin}: cell at row {k + 2}, column {header[j]!r} is not finite: {value}")
+    return table
 
 
 def write_csv(
@@ -286,11 +393,27 @@ def split_by_account_status(
     The split column is removed from the predictors of both outputs: it is
     constant on the non-customer side, so its coefficient could never be
     estimated from a target sample. Split codes must be integers >= 1.
+    Both outputs are copies of the sample's rows.
     """
-    if split_column not in sample.feature_names:
+    col = _split_index(sample.feature_names, split_column)
+    source = _source_mask(sample.features[:, col], split_column)
+    keep = [j for j in range(sample.dimension) if j != col]
+    names = tuple(sample.feature_names[j] for j in keep)
+    return tuple(
+        LabeledSample(sample.features[np.ix_(mask, keep)], sample.labels[mask], names)
+        for mask in (source, ~source)
+    )
+
+
+def _split_index(feature_names: tuple[str, ...], split_column: str) -> int:
+    if split_column not in feature_names:
         raise DataError(f"split column {split_column!r} not among features")
-    col = sample.feature_names.index(split_column)
-    values = sample.features[:, col]
+    return feature_names.index(split_column)
+
+
+def _source_mask(values: np.ndarray, split_column: str) -> np.ndarray:
+    """The customer rows (split code > 1), after checking that every code
+    is an integer >= 1 and that both sides have a record."""
     if np.any(values < 1):
         bad = int(np.argmax(values < 1))
         raise DataError(f"split column {split_column!r} has value below 1 at record {bad}")
@@ -300,17 +423,11 @@ def split_by_account_status(
         raise DataError(
             f"split column {split_column!r} has non-integer value {values[bad]} at record {bad}"
         )
-
-    keep = [j for j in range(sample.dimension) if j != col]
-    names = tuple(n for j, n in enumerate(sample.feature_names) if j != col)
-    source_mask = values > 1
-    for mask, side in ((source_mask, "source"), (~source_mask, "target")):
+    source = values > 1
+    for mask, side in ((source, "source"), (~source, "target")):
         if not mask.any():
             raise DataError(f"empty subpopulation: no {side} records")
-    return tuple(
-        LabeledSample(sample.features[np.ix_(mask, keep)], sample.labels[mask], names)
-        for mask in (source_mask, ~source_mask)
-    )
+    return source
 
 
 def _philox(seed: int, learning_size: int, repetition_index: int) -> np.random.Generator:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LabeledSample
+from .dataset import _BLOCK_CELLS, LabeledSample
 from .exceptions import NumericalError
 
 # score() never returns exactly 0 or 1 for a finite linear predictor
@@ -233,7 +233,8 @@ def _gradient(design, labels, eta, e, intercept=False, shared=None):
     return grad, prob
 
 
-# Cells (rows x columns) that a transient array of a Newton call may hold:
+# Cells (rows x columns) that a transient array of a Newton call may hold,
+# ``_BLOCK_CELLS`` (defined in dataset.py, whose loaders gather within it):
 # the stacked design handed to the batched engine (the M6 design of a block
 # of repetitions), the engine's weighted copy z of a row block, the block's
 # learning features and the link design's scaled copy of them, each at most
@@ -247,7 +248,6 @@ def _gradient(design, labels, eta, e, intercept=False, shared=None):
 # any design height by summing the gradient and the information over row
 # blocks. The experiment's scoring pass gathers test
 # features and scores in chunks within the same budget.
-_BLOCK_CELLS = 2**16
 
 
 def _row_sum(parts, block) -> np.ndarray:
@@ -489,6 +489,7 @@ def maximize_logistic_batch(
             k = len(keep)
 
         information = _information(design[:k], prob, intercept, shared)
+        del prob  # not held through the line search
         step = _newton_steps(information + penalty_hessian, grad)
         slope = _dot(grad, step)
         uphill = slope <= 0.0  # numerically not an ascent direction

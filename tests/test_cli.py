@@ -601,6 +601,32 @@ class TestExitCodes:
         error = main_fails(capsys, *(arg.format(**paths) for arg in argv))
         assert error == {"error": message.format(**paths), "code": 3}
 
+    @pytest.mark.parametrize("command", ["split", "experiment", "roc"])
+    @pytest.mark.parametrize(
+        "body, option, message",
+        [
+            (None, ["--split-column", "nope"], "split column 'nope' not among features"),
+            (None, ["--split-column", "kredit"], "split column 'kredit' not among features"),
+            ("0,1,0\n2,2,1\n", [], "split column 'laufkont' has value below 1 at record 0"),
+            ("1,1,0\n1.5,2,1\n2,3,0\n", [],
+             "split column 'laufkont' has non-integer value 1.5 at record 1"),
+            ("1,2,0\n1,3,1\n", [], "empty subpopulation: no source records"),
+        ],
+        ids=["missing-column", "target-column", "below-one", "fractional", "empty-side"],
+    )
+    def test_bad_split_is_data_error(self, german_csv, tmp_path, capsys, command, body, option,
+                                     message):
+        """Each command that splits the data reports a bad split column, or
+        split, as a data error before it writes anything."""
+        data = german_csv
+        if body is not None:
+            data = tmp_path / "data.csv"
+            data.write_text("laufkont,x,kredit\n" + body)
+        out = tmp_path / "out"
+        error = main_fails(capsys, command, "--data", data, "--out", out, *option)
+        assert error == {"error": message, "code": 3}
+        assert not out.exists()
+
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))
         lines = proc.stderr.strip().splitlines()

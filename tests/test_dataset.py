@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scorelink import (
     split_by_account_status,
 )
 from scorelink import dataset as dataset_module
-from scorelink.dataset import _format_number, file_sha256, write_csv
+from scorelink.dataset import _format_number, file_sha256, load_subpopulations, write_csv
 from scorelink.gaussian import (
     AffineLink,
     GaussianClassParams,
@@ -277,6 +278,36 @@ class TestParsePaths:
         assert_bitwise(load_csv(path), expected)
         assert bodies == ([] if path.suffix == ".gz" else [str(path)])
 
+    @pytest.mark.parametrize(
+        "text, bound",
+        [
+            ("a,b,kredit\n1,2,1\n3,4,0\n", 2),
+            ("a,b,kredit\n1,2,1\n3,4,0", 2),
+            ("a,b,kredit\n1,2,1\n\n3,4,0\n\n", 4),
+            ('a,"b\nc",kredit\n1,2,1\n3,4,0\n', 2),
+            ("a,b,kredit\r\n1,2,1\r\n3,4,0\r\n", None),
+        ],
+        ids=["plain", "no-final-newline", "blank-lines", "newline-header", "crlf"],
+    )
+    def test_rows_are_bounded_by_the_line_count(self, tmp_path, monkeypatch, text, bound):
+        """np.loadtxt gets the lines past the header as its row bound, so
+        that it allocates its table once; a file with a carriage return, a
+        line end the count misses, is read without a bound."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        expected = row_loop(tmp_path, text)
+        loadtxt, bounds = np.loadtxt, []
+
+        def recording(*args, **kwargs):
+            bounds.append(kwargs["max_rows"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_module.np, "loadtxt", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bitwise(load_csv(path), expected)
+        assert bounds == [bound]
+
     @pytest.mark.parametrize("suffix", [".csv", ".gz"])
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
     def test_byte_order_mark_and_suffix(self, tmp_path, monkeypatch, bom, suffix):
@@ -386,52 +417,187 @@ class TestFileSha256:
         assert peak < 2 * 2**20
 
 
+def file_routes(path, split_column="laufkont", target_column="kredit"):
+    """Both routes from a CSV file to its (source, target) pair: the
+    sample's split, and the loader that splits the parsed table itself."""
+    return [
+        lambda: split_by_account_status(load_csv(path, target_column), split_column),
+        lambda: load_subpopulations(path, target_column, split_column),
+    ]
+
+
+def sample_routes(sample, directory, split_column="laufkont"):
+    """The split of ``sample`` in memory, then both file routes of it
+    written to CSV."""
+    path = directory / "sample.csv"
+    write_csv(sample, path)
+    return [lambda: split_by_account_status(sample, split_column),
+            *file_routes(path, split_column)]
+
+
+GERMAN_CSV = Path(dataset_module.__file__).parent / "data" / "german.csv"
+
+
 class TestSplitByAccountStatus:
+    """Each case holds for the split of a sample and for both routes from
+    a file: ``split_by_account_status(load_csv(path))`` and
+    ``load_subpopulations(path)``."""
+
     def test_german_subpopulation_sizes(self, source, target):
         """726 customers vs 274 non-customers."""
-        assert source.n_records == 726
-        assert target.n_records == 274
+        for src, tgt in [(source, target), *(route() for route in file_routes(GERMAN_CSV))]:
+            assert src.n_records == 726
+            assert tgt.n_records == 274
 
     def test_split_column_removed_from_both(self, german, source, target):
-        assert "laufkont" not in source.feature_names
-        assert "laufkont" not in target.feature_names
-        assert source.dimension == german.dimension - 1
+        for src, tgt in [(source, target), *(route() for route in file_routes(GERMAN_CSV))]:
+            assert "laufkont" not in src.feature_names
+            assert "laufkont" not in tgt.feature_names
+            assert src.dimension == german.dimension - 1
 
-    def test_all_rows_on_one_side_is_error(self):
-        sample = LabeledSample(
-            np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([0, 1]), ("laufkont", "x")
-        )
-        with pytest.raises(DataError, match="empty subpopulation"):
-            split_by_account_status(sample)
+    def test_all_rows_on_one_side_is_error(self, tmp_path):
+        for code, side in [(1.0, "source"), (2.0, "target")]:
+            sample = LabeledSample(
+                np.array([[code, 2.0], [code, 3.0]]), np.array([0, 1]), ("laufkont", "x")
+            )
+            for route in sample_routes(sample, tmp_path):
+                with pytest.raises(DataError, match=f"empty subpopulation: no {side} records"):
+                    route()
 
-    def test_toy_rule_application(self):
+    def test_toy_rule_application(self, tmp_path):
         """Split values (1, 2, 1, 3): rows 2 and 4 are customers."""
         sample = LabeledSample(
             np.array([[1.0, 10.0], [2.0, 20.0], [1.0, 30.0], [3.0, 40.0]]),
             np.array([0, 1, 1, 0]),
             ("laufkont", "x"),
         )
-        src, tgt = split_by_account_status(sample)
-        np.testing.assert_array_equal(src.features[:, 0], [20.0, 40.0])
-        np.testing.assert_array_equal(tgt.features[:, 0], [10.0, 30.0])
+        for route in sample_routes(sample, tmp_path):
+            src, tgt = route()
+            np.testing.assert_array_equal(src.features[:, 0], [20.0, 40.0])
+            np.testing.assert_array_equal(tgt.features[:, 0], [10.0, 30.0])
+            np.testing.assert_array_equal(src.labels, [1, 0])
+            np.testing.assert_array_equal(tgt.labels, [0, 1])
 
-    def test_value_below_one_rejected(self):
+    def test_value_below_one_rejected(self, tmp_path):
         sample = LabeledSample(
             np.array([[0.0, 1.0], [2.0, 2.0]]), np.array([0, 1]), ("laufkont", "x")
         )
-        with pytest.raises(DataError, match="below 1"):
-            split_by_account_status(sample)
+        for route in sample_routes(sample, tmp_path):
+            with pytest.raises(DataError, match="has value below 1 at record 0"):
+                route()
 
-    def test_non_integer_value_rejected(self):
+    def test_non_integer_value_rejected(self, tmp_path):
         sample = LabeledSample(
             np.array([[1.0, 1.0], [1.5, 2.0], [2.0, 3.0]]), np.array([0, 1, 0]), ("laufkont", "x")
         )
-        with pytest.raises(DataError, match="non-integer value 1.5 at record 1"):
-            split_by_account_status(sample)
+        for route in sample_routes(sample, tmp_path):
+            with pytest.raises(DataError, match="non-integer value 1.5 at record 1"):
+                route()
 
     def test_unknown_column(self, german):
         with pytest.raises(DataError, match="not among features"):
             split_by_account_status(german, "no_such_column")
+        for route in file_routes(GERMAN_CSV, "no_such_column"):
+            with pytest.raises(DataError, match="split column 'no_such_column' not among features"):
+                route()
+
+    def test_target_column_is_not_a_split_column(self):
+        """The label is not a feature, so it cannot split the sample."""
+        for route in file_routes(GERMAN_CSV, "kredit"):
+            with pytest.raises(DataError, match="split column 'kredit' not among features"):
+                route()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("rows.csv.gz", "laufkont,a,kredit\n1,2.5,1\n2,4,0\n3,-1,1\n1,0,0\n"),
+            ("underscore.csv", "a,laufkont,kredit\n1_000,1,1\n2,2,0\n3,4,1\n-4,1,0\n"),
+        ],
+        ids=["compression-suffix", "underscore"],
+    )
+    def test_row_loop_routes_are_bitwise_equal(self, tmp_path, name, text):
+        """A body only the float() row loop reads splits bitwise the same
+        by both routes."""
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        expected, got = (route() for route in file_routes(path))
+        for sample, other in zip(got, expected):
+            assert_bitwise(sample, other)
+        assert got[0].n_records == 2 and got[1].n_records == 2
+
+    def test_german_routes_are_bitwise_equal(self, source, target):
+        for sample, other in zip(load_subpopulations(GERMAN_CSV), (source, target)):
+            assert_bitwise(sample, other)
+
+    def test_source_rows_are_the_parse_buffer(self):
+        """The loader's source features are a read-only view of the front of
+        the parsed table's own buffer, which holds every parsed cell; the
+        target features are a copy of their own."""
+        src, tgt = load_subpopulations(GERMAN_CSV)
+        buffer = src.features
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert buffer.size == 1000 * 21
+        assert np.shares_memory(src.features, buffer)
+        assert src.features.ctypes.data == buffer.ctypes.data
+        assert not src.features.flags.writeable
+        assert not np.shares_memory(tgt.features, buffer)
+
+
+class TestGatherInPlace:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_a_gathered_copy(self, data):
+        """Ascending rows and columns of a table, gathered over its own
+        buffer in row blocks, equal a fancy-indexed copy bitwise, for
+        tables on both sides of a block boundary."""
+        width = data.draw(st.integers(1, 6), label="width")
+        cols = data.draw(st.lists(st.sampled_from(range(width)), unique=True), label="cols")
+        cols.sort()
+        budget = data.draw(st.integers(1, 20), label="budget")
+        height = max(1, budget // max(1, len(cols)))
+        n = data.draw(st.integers(0, 3 * height + 1), label="rows")
+        kind = data.draw(st.sampled_from(["none", "all", "some"]), label="kind")
+        chosen = {"none": [False] * n, "all": [True] * n}.get(kind) or data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="mask")
+        mask = np.array(chosen, dtype=bool).reshape(n)
+        rows = np.flatnonzero(mask)
+        table = np.random.default_rng(n * 100 + width).normal(size=(n, width))
+        expected = table.copy()[np.ix_(rows, cols)]
+        with mock.patch.object(dataset_module, "_BLOCK_CELLS", budget):
+            got = dataset_module._gather_in_place(table, mask, cols)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous
+        if got.size:
+            assert got.ctypes.data == table.ctypes.data
+
+
+class TestLoaderMemory:
+    @pytest.mark.parametrize("load", ["load_csv", "load_subpopulations"])
+    def test_peak_is_about_the_parsed_table(self, tmp_path, load):
+        """Loading a 30,000 x 20 file, split and label columns included,
+        allocates at its traced peak less than 1.3 times the parsed table:
+        neither a copy of the table without its label column nor one of
+        the source rows coexists with it. The target rows are a copy, so
+        their share adds to the loader's peak; here it is gaussian-100k's,
+        2,000 of 102,000 rows."""
+        rng = np.random.default_rng(17)
+        n, d = 30_000, 18
+        split = np.where(rng.random(n) < 2 / 102, 1, rng.integers(2, 5, n))
+        table = np.column_stack([split, rng.normal(size=(n, d)).round(4), rng.integers(0, 2, n)])
+        path = tmp_path / "wide.csv"
+        header = ",".join(["laufkont", *(f"x{j}" for j in range(d)), "kredit"])
+        np.savetxt(path, table, fmt="%.10g", delimiter=",", header=header, comments="")
+        tracemalloc.start()
+        try:
+            loaded = getattr(dataset_module, load)(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * table.nbytes
+        samples = loaded if isinstance(loaded, tuple) else (loaded,)
+        assert sum(sample.n_records for sample in samples) == n
 
 
 class TestDrawSplit:

@@ -6,13 +6,24 @@ number. The target column (``kredit``) is 1 for creditworthy borrowers and
 0 otherwise; the account-status column (``laufkont``) separates bank
 customers (value > 1) from non-customers (value = 1).
 
-A CSV body is read by numpy's C parser, handed the file by path, past the
-header, so that its C reader pulls the text in chunks, and bounded by the
-file's line count, so that it allocates its table once. A body the parser
-rejects, or whose table fails the label or finiteness check, is read
-cell by cell with ``float()``, which words the error with its row and
-column and accepts the few spellings ``loadtxt`` does not. Both give
-bitwise the same table.
+A CSV body is read by numpy's C parser. One scan of the file, in 1 MiB
+chunks, first counts its lines, cuts the body at line starts into parts
+of about ``_PART_BYTES`` (1 MiB) and tells whether the body is *plain*:
+no carriage return, no ``"`` and no blank line, so that each physical
+line is one row. A plain body of at least ``_FORK_BYTES`` (16 MiB; on 2
+CPUs two processes lost below about 6 MiB and won from 12 MiB) is parsed
+in two processes when two CPUs are usable and the platform starts
+processes by fork: the table is an anonymous shared mapping, this
+process claims and parses parts from the front and a forked child from
+the back until they meet, each in blocks of ``_BLOCK_CELLS`` cells with
+``np.loadtxt``, so that a process on a slower CPU parses fewer parts
+instead of holding the other up. Any other body, and one whose parts
+did not all give every line as a row, is handed to numpy by path, past
+the header, so that its C reader pulls the text in chunks, bounded by
+the line count, so that it allocates its table once. A body the parser rejects, or whose table fails the label or
+finiteness check, is read cell by cell with ``float()``, which words the
+error with its row and column and accepts the few spellings ``loadtxt``
+does not. All routes give bitwise the same table.
 
 The loaders hand out the parsed table's own buffer. :func:`load_csv`
 gathers the feature columns over its front, in place, after copying the
@@ -34,11 +45,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
+import mmap
+import os
+import signal
 import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,25 +264,22 @@ def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str]
     # cell may hold a line break, and numpy's skiprows counts lines, as csv's
     # line_num does. ``f`` stays past the header for the row loop.
     if f.seekable() and path.suffix not in _DECOMPRESSED_SUFFIXES:
-        lines = _line_count(path)
-        with warnings.catch_warnings():  # a header-only file is reported below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # blank lines are not rows; numpy warns that it once counted them
-            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
-            try:
-                table = np.loadtxt(
-                    str(path),
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                    dtype=float,
-                    skiprows=reader.line_num,
-                    max_rows=None if lines is None else lines - reader.line_num,
-                    encoding="utf-8",
-                )
-            except ValueError:
-                table = None
+        body = _scan(path, reader.line_num)
+        table = _parse_in_two(path, body, len(header)) if _two_parts(body) else None
+        if table is None:
+            with warnings.catch_warnings():  # a header-only file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # blank lines are not rows; numpy warns that it once counted them
+                warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+                try:
+                    table = np.loadtxt(
+                        str(path),
+                        skiprows=reader.line_num,
+                        max_rows=None if body is None else body.lines,
+                        **_LOADTXT,
+                    )
+                except ValueError:
+                    table = None
         if (
             table is not None
             and table.shape[0] > 0
@@ -279,26 +292,188 @@ def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str]
     return _parse_rows(reader, header, target_idx, origin), header
 
 
-def _line_count(path: Path) -> int | None:
-    """Physical lines of the file at ``path``, or None if it holds a
+_LOADTXT = dict(
+    delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float, encoding="utf-8"
+)
+
+# Bytes of a plain body from which it is parsed in two processes. On a
+# 2-CPU machine, over 21 alternating pairs per size on rows of 20 floats,
+# two processes lost at 4 MiB and below (ratio 1.17-1.31), won 17-18 pairs
+# at 6-8 MiB and all 21 at 12 MiB and above (ratio 0.62-0.68).
+_FORK_BYTES = 2**24
+
+# Bytes of a body part: the two processes claim parts of about this size,
+# one at a time, so that a process on a slower or busier CPU takes fewer.
+_PART_BYTES = 2**20
+
+
+class _Body(NamedTuple):
+    """What one read of a file tells of its body, the lines past the header."""
+
+    start: int  # byte offset of the body's first line
+    size: int  # bytes from there to the end of the file
+    lines: int  # physical lines of the body
+    plain: bool  # no '"' and no blank line: each physical line is one row
+    # (first body line, its byte offset) of each part, then (lines, file size)
+    parts: tuple[tuple[int, int], ...]
+
+
+def _scan(path: Path, skip: int) -> _Body | None:
+    """The body of the file at ``path`` past its first ``skip`` physical
+    lines, read once in ``_HASH_CHUNK`` blocks; None if the file holds a
     carriage return, a line end that this count would miss.
 
-    Each row takes at least one line, so the lines past the header bound
-    the rows. Given that bound, ``np.loadtxt`` allocates its table once,
-    at its final size when no line is blank, instead of growing it by
+    The body is cut into ``max(2, size // _PART_BYTES)`` parts of about
+    equal bytes: each cut is the first line start at or past its share of
+    the bytes, and a part is empty where no line starts in its share. The
+    ``"`` and blank-line checks and the cuts cover the body only: a header
+    may quote its names.
+
+    Each row takes at least one line, so the body's lines bound its rows.
+    Given that bound, ``np.loadtxt`` allocates its table once, at its
+    final size when no line is blank, instead of growing it by
     reallocation. A process that loads the file again then asks for a
     block of the same size, which fits where the last table was freed;
     the growing table's larger blocks did not always fit, and a second
     table's worth of memory then stayed resident.
     """
-    lines, last = 0, b"\n"
     with open(path, "rb") as handle:
+        end = os.fstat(handle.fileno()).st_size
+        newlines, offset, previous = 0, 0, -2  # previous: the last line end read
+        start, cuts, plain = None, [], True
         while chunk := handle.read(_HASH_CHUNK):
             if b"\r" in chunk:
                 return None
-            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
-            last = chunk[-1:]
-    return lines + (last != b"\n")
+            ends = offset + np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            if start is None and newlines + len(ends) >= skip:
+                start = int(ends[skip - newlines - 1]) + 1
+                count = max(2, (end - start) // _PART_BYTES)
+                targets = start + (end - start) * np.arange(1, count) // count
+            if start is not None:
+                # a blank line's end follows the line end before it, the header's last included
+                gaps = np.diff(ends[ends >= start - 1], prepend=previous)
+                if np.any(gaps == 1) or chunk.find(b'"', max(0, start - offset)) >= 0:
+                    plain = False
+                for i in np.searchsorted(ends + 1, targets[len(cuts) :]):
+                    if i == len(ends) or ends[i] + 1 == end:  # no line starts past the target here
+                        break
+                    cuts.append((newlines + int(i) + 1 - skip, int(ends[i]) + 1))
+            if len(ends):
+                previous = int(ends[-1])
+            newlines += len(ends)
+            offset += len(chunk)
+    lines = newlines + (previous != offset - 1) - skip  # a last line without its line end
+    if start is None:  # the header is the whole file
+        return _Body(offset, 0, 0, plain, ((0, offset), (0, offset)))
+    cuts += [(lines, end)] * (len(targets) + 1 - len(cuts))
+    return _Body(start, end - start, lines, plain, ((0, start), *cuts))
+
+
+def _two_parts(body: _Body | None) -> bool:
+    """Whether to parse ``body`` in two processes: it is plain and large,
+    two CPUs are usable, and forking is this platform's default way to
+    start a process."""
+    if not (body is not None and body.plain and body.size >= _FORK_BYTES and hasattr(os, "fork")):
+        return False
+    import multiprocessing  # here, not at import: it adds about 6 ms to importing scorelink
+
+    return (
+        multiprocessing.get_all_start_methods()[0] == "fork"
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+_PARENT, _CHILD = 1, 2  # owner byte of a part: 0 while no process holds it
+
+
+def _parse_in_two(path: Path, body: _Body, width: int) -> np.ndarray | None:
+    """The plain body's table, ``body.lines`` x ``width``, or None if a
+    part of it fails.
+
+    The table is an anonymous shared mapping, followed by one owner byte
+    per part. This process claims and parses parts from the first on, a
+    forked child from the last back, each taking the next part until it
+    meets one the other holds, so that each takes a share of the parts
+    in proportion to its speed. The last part is the child's before the
+    fork, so that both processes parse. Where both claim the same part at
+    once, both parse it and write the same bytes. The child leaves
+    through ``os._exit``, with status 0 only if every part it claimed gave
+    its lines; this process then reaps it. SIGINT stays blocked in the
+    child, so an interrupt reaches only this process, which kills and
+    reaps the child on any exception before it returns.
+    """
+    count = len(body.parts) - 1
+    shared = mmap.mmap(-1, body.lines * width * 8 + count)
+    table = np.frombuffer(shared, dtype=float, count=body.lines * width)
+    table = table.reshape(body.lines, width)
+    owner = np.frombuffer(shared, dtype=np.uint8, offset=table.nbytes)
+    owner[-1] = _CHILD
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+    except OSError:  # no second process to be had
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            warnings.simplefilter("error")  # a warning fails the part, unprinted
+            status = 0 if _parse_parts(path, body.parts, table, owner, _CHILD) else 1
+        finally:
+            os._exit(status)
+    done = False
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        done = _parse_parts(path, body.parts, table, owner, _PARENT)
+    except ValueError:  # loadtxt rejected a cell or a row's width
+        pass
+    finally:
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        done = os.waitpid(pid, 0)[1] == 0 and done
+    return table if done else None
+
+
+def _parse_parts(
+    path: Path, parts: tuple[tuple[int, int], ...], table: np.ndarray, owner: np.ndarray, me: int
+) -> bool:
+    """Claim and parse ``parts`` into ``table``'s rows, the first onward if
+    ``me`` is ``_PARENT``, the last backward if it is ``_CHILD``, until a
+    part the other process holds; whether each part parsed gave its lines.
+
+    A process meets the other's claim only where the other has already
+    claimed every part beyond, so between them the two parse every part.
+    """
+    order = range(len(owner)) if me == _PARENT else range(len(owner) - 1, -1, -1)
+    for i in order:
+        if owner[i] not in (0, me):
+            break
+        owner[i] = me
+        (row, offset), (stop, _) = parts[i], parts[i + 1]
+        if not _parse_lines(path, offset, table[row:stop]):
+            return False
+    return True
+
+
+def _parse_lines(path: Path, offset: int, out: np.ndarray) -> bool:
+    """Parse ``len(out)`` physical lines of the file at ``path`` from byte
+    ``offset`` into ``out``'s rows; whether each line gave one row of
+    ``out``'s width.
+
+    The lines are parsed in blocks of at most ``_BLOCK_CELLS`` cells, each
+    written into its rows, so no table of the part is held besides ``out``.
+    """
+    height = max(1, _BLOCK_CELLS // out.shape[1])
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        for lo in range(0, len(out), height):
+            rows = out[lo : lo + height]
+            block = np.loadtxt(itertools.islice(handle, len(rows)), **_LOADTXT)
+            if block.shape != rows.shape:
+                return False
+            rows[...] = block
+    return True
 
 
 def _parse_rows(reader, header, target_idx, origin: str) -> np.ndarray:

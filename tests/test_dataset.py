@@ -1,7 +1,14 @@
 import hashlib
+import json
+import multiprocessing
 import os
+import re
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -598,6 +605,357 @@ class TestLoaderMemory:
         assert peak < 1.3 * table.nbytes
         samples = loaded if isinstance(loaded, tuple) else (loaded,)
         assert sum(sample.n_records for sample in samples) == n
+
+
+def plain_text(rows: int = 40, seed: int = 0) -> str:
+    """A plain CSV: a header and ``rows`` generated rows, one a line, the
+    split codes 1 to 4 and the labels 0 or 1."""
+    rng = np.random.default_rng(seed)
+    lines = ["a,b,laufkont,kredit"]
+    for a, b in rng.normal(size=(rows, 2)):
+        lines.append(f"{float(a)!r},{float(b)!r},{rng.integers(1, 5)},{rng.integers(0, 2)}")
+    return "\n".join(lines) + "\n"
+
+
+def force_two_parts(monkeypatch) -> list:
+    """Make every plain body take the two-process route, as a large one
+    on a 2-CPU machine does; the list records whether each such parse
+    gave a table."""
+    monkeypatch.setattr(dataset_module, "_FORK_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parse, outcomes = dataset_module._parse_in_two, []
+
+    def recording(*args):
+        table = parse(*args)
+        outcomes.append(table is not None)
+        return table
+
+    monkeypatch.setattr(dataset_module, "_parse_in_two", recording)
+    return outcomes
+
+
+def assert_no_child():
+    """No child is left, and SIGINT is not left blocked."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """:func:`force_two_parts`; after the test this process has no child
+    left."""
+    yield force_two_parts(monkeypatch)
+    assert_no_child()
+
+
+def forbid_fork(monkeypatch):
+    def fork():
+        pytest.fail("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+class TestTwoProcessParse:
+    """A large plain body is parsed by this process and a forked child,
+    into one shared table; the tests force that route on small inputs."""
+
+    def test_loaders_equal_the_single_process_route(self, tmp_path, monkeypatch):
+        """load_csv and load_subpopulations give bitwise the tables of the
+        single-process route on a few thousand generated rows."""
+        path = tmp_path / "mixture.csv"
+        path.write_text(plain_text(3000, seed=5), encoding="utf-8")
+        single = load_csv(path), *load_subpopulations(path)
+        outcomes = force_two_parts(monkeypatch)
+        forked = load_csv(path), *load_subpopulations(path)
+        assert outcomes == [True, True]
+        for sample, expected in zip(forked, single):
+            assert_bitwise(sample, expected)
+        assert single[0].n_records == 3000
+        assert_no_child()
+
+    def test_processes_meet_once(self, tmp_path, monkeypatch):
+        """With hundreds of parts of a few lines each, the two processes
+        claim parts until they meet, pass after pass: every part is
+        claimed, this process's from the first and the child's to the
+        last, and the table is bitwise np.loadtxt's."""
+        path = tmp_path / "mixture.csv"
+        path.write_text(plain_text(3000, seed=6), encoding="utf-8")
+        monkeypatch.setattr(dataset_module, "_PART_BYTES", 256)
+        body = dataset_module._scan(path, 1)
+        assert len(body.parts) > 300
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        for _ in range(20):
+            table = dataset_module._parse_in_two(path, body, 4)
+            owner = list(table.base.base[table.nbytes :])  # the mapping past the table
+            parent, child = dataset_module._PARENT, dataset_module._CHILD
+            assert owner == sorted(owner, key=[parent, child].index) and owner[-1] == child
+            assert table.tobytes() == expected.tobytes()
+        assert_no_child()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                   elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+        st.booleans(),
+        st.lists(st.integers(0, 6), max_size=3),
+    )
+    def test_every_partition_gives_the_same_table(self, table, final_newline, cuts):
+        """Whatever lines the parts start at, the child's one part the whole
+        body, an empty part, or any line between, the table is bitwise
+        np.loadtxt's."""
+        lines = [",".join(repr(float(v)) for v in row) for row in table]
+        text = "\n".join([",".join(f"c{j}" for j in range(table.shape[1])), *lines])
+        text += "\n" if final_newline else ""
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "small.csv"
+            path.write_bytes(text.encode())
+            body = dataset_module._scan(path, 1)
+            assert body.plain and body.lines == len(table)
+            starts = [body.start]
+            for line in lines:
+                starts.append(starts[-1] + len(line) + 1)
+            expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            partitions = [[split] for split in range(len(table) + 1)]
+            partitions.append(sorted(min(cut, len(table)) for cut in cuts))
+            for rows in partitions:
+                parts = ((0, body.start), *((row, starts[row]) for row in rows),
+                         (len(table), starts[-1]))
+                got = dataset_module._parse_in_two(path, body._replace(parts=parts),
+                                                   table.shape[1])
+                assert got.tobytes() == expected.tobytes()
+        assert_no_child()
+
+    @pytest.mark.parametrize("part_bytes", [1, 7, 10, 25, 2**20])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_scan_cuts_at_line_starts(self, tmp_path, monkeypatch, part_bytes, final_newline):
+        """Each cut is the first body line that starts at or past its share
+        of the body's bytes, or the body's end where none does, also where
+        the scan's reads end mid-line; the header's lines are not the
+        body's."""
+        lines = ["1,2,1"] * 3 + ["10,20,0"] + ["3,4,0"] * 4
+        text = 'a,"b\nc",kredit\n' + "\n".join(lines) + ("\n" if final_newline else "")
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(dataset_module, "_PART_BYTES", part_bytes)
+        monkeypatch.setattr(dataset_module, "_HASH_CHUNK", 5)
+        body = dataset_module._scan(path, 2)
+        start, size = text.index("1,2,1"), len(text) - text.index("1,2,1")
+        starts = [start + sum(len(line) + 1 for line in lines[:i]) for i in range(len(lines))]
+        count = max(2, size // part_bytes)
+        cuts = []
+        for k in range(1, count):
+            target = start + size * k // count
+            cuts.append(next(((row, at) for row, at in enumerate(starts) if at >= target),
+                             (len(lines), len(text))))
+        assert body == dataset_module._Body(start, size, len(lines), True,
+                                            ((0, start), *cuts, (len(lines), len(text))))
+        assert len(body.parts) == count + 1
+
+    @pytest.mark.parametrize(
+        "change, forks",
+        [
+            ("blank-front", False),
+            ("blank-back", False),
+            ("crlf", False),
+            ("cr", False),
+            ("quote", False),
+            ("no-final-newline", True),
+            ("cell-front", True),
+            ("cell-back", True),
+            ("width-front", True),
+            ("width-back", True),
+            ("label-front", True),
+            ("label-back", True),
+            ("nan-front", True),
+            ("nan-back", True),
+            ("one-cell", True),
+        ],
+    )
+    def test_fallback_gives_the_row_loop_result(self, tmp_path, monkeypatch, two_parts,
+                                                change, forks):
+        """A body that is not plain is never forked; a part that fails, or
+        a table that fails a check, sends the file through the single-process
+        route. Either way the table, or the error with its file row, is the
+        row loop's."""
+        lines = plain_text(40, seed=3).splitlines()
+        what, _, half = change.partition("-")
+        row = {"front": 4, "back": 36}.get(half)
+        edit = {
+            "blank": lambda line: line + "\n",
+            "cell": lambda line: "x" + line,
+            "width": lambda line: line.rpartition(",")[0],
+            "label": lambda line: line[:-1] + "2",
+            "nan": lambda line: "nan" + line[line.index(","):],
+        }
+        if row is not None:
+            lines[row] = edit[what](lines[row])
+        if what == "quote":
+            lines[20] = '"' + lines[20].replace(",", '",', 1)
+        if what == "one":  # a block of one-cell lines would broadcast across its rows
+            lines[1:], row = [line.rpartition(",")[2] for line in lines[1:]], 1
+        end = {"crlf": "\r\n", "cr": "\r"}.get(change, "\n")
+        text = end.join(lines) + ("" if change == "no-final-newline" else end)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        if forks:  # the front edits fall in this process's half, the back ones in the child's
+            (_, (split, _), _) = dataset_module._scan(path, 1).parts
+            assert 4 < split < 36
+        else:
+            forbid_fork(monkeypatch)
+        try:
+            expected = row_loop(tmp_path, text)
+        except DataError as error:
+            with pytest.raises(DataError) as excinfo:
+                load_csv(path)
+            rows_named = re.findall(r"row \d+", str(error))
+            assert rows_named == [f"row {row + 1}"]
+            assert str(excinfo.value) == str(error).replace(str(tmp_path / "row-loop.gz"),
+                                                            str(path))
+        else:
+            assert_bitwise(load_csv(path), expected)
+        # a table that parses but fails a check is parsed once, in two parts
+        assert two_parts == ([what in ("no", "label", "nan")] if forks else [])
+
+    @pytest.mark.parametrize(
+        "case", ["small-body", "one-cpu", "no-fork", "spawn-default", "fork-fails"]
+    )
+    def test_no_fork(self, tmp_path, monkeypatch, case):
+        """A body below the threshold, one usable CPU, no os.fork, or a
+        platform whose default start method is not fork: the body is
+        parsed in this process alone, as it is when os.fork fails."""
+        path = tmp_path / "data.csv"
+        path.write_text(plain_text(60), encoding="utf-8")
+        expected = load_csv(path)
+        monkeypatch.setattr(dataset_module, "_FORK_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forbid_fork(monkeypatch)
+        if case == "small-body":
+            monkeypatch.setattr(dataset_module, "_FORK_BYTES", path.stat().st_size)
+        elif case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "spawn-default":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "fork"])
+        else:
+            def fork():
+                raise BlockingIOError("no process to be had")
+
+            monkeypatch.setattr(os, "fork", fork)
+        assert_bitwise(load_csv(path), expected)
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_interrupt_kills_and_reaps_the_child(self, tmp_path, monkeypatch, two_parts, error):
+        """An exception in this process's part ends the child at once (it
+        would sleep a minute) and reaps it before propagating."""
+        path = tmp_path / "data.csv"
+        path.write_text(plain_text(), encoding="utf-8")
+        parse = dataset_module._parse_lines
+
+        def parse_lines(*args):
+            if os.getpid() == parent:
+                raise error("in the parent's part")
+            time.sleep(60)
+            return parse(*args)
+
+        parent = os.getpid()
+        monkeypatch.setattr(dataset_module, "_parse_lines", parse_lines)
+        start = time.monotonic()
+        with pytest.raises(error, match="in the parent's part"):
+            load_csv(path)
+        assert time.monotonic() - start < 30
+        assert two_parts == []
+
+    @pytest.mark.parametrize("failure", ["warning", "exception", "interrupt", "short-front"])
+    def test_failed_child_part_is_silent(self, tmp_path, monkeypatch, capfd, two_parts,
+                                         failure):
+        """A warning or an exception in the child fails its part without a
+        word on stdout or stderr, and the file is read again in this
+        process; so does a part of the wrong length in this process."""
+        path = tmp_path / "data.csv"
+        path.write_text(plain_text(), encoding="utf-8")
+        expected = row_loop(tmp_path, plain_text())
+        parse, parent = dataset_module._parse_lines, os.getpid()
+
+        def parse_lines(*args):
+            if os.getpid() == parent:
+                return failure != "short-front" and parse(*args)
+            if failure == "warning":
+                warnings.warn("from the child")
+            elif failure == "exception":
+                raise RuntimeError("from the child")
+            elif failure == "interrupt":
+                raise KeyboardInterrupt
+            return parse(*args)
+
+        monkeypatch.setattr(dataset_module, "_parse_lines", parse_lines)
+        capfd.readouterr()
+        assert_bitwise(load_csv(path), expected)
+        assert capfd.readouterr() == ("", "")
+        assert two_parts == [False]
+
+    def test_experiment_bytes_across_jobs(self, tmp_path, monkeypatch):
+        """`scorelink experiment` writes the same bytes from a table parsed
+        in one process, and from one parsed in two at --jobs 1 and at
+        --jobs 2, whose pool workers inherit the shared mapping."""
+        from scorelink import cli
+
+        data = tmp_path / "german.csv"
+        data.write_bytes(GERMAN_CSV.read_bytes())
+
+        def run(name, jobs):
+            out = tmp_path / name
+            argv = ["experiment", "--data", str(data), "--out", str(out), "--sizes", "50,100",
+                    "--repetitions", "2", "--jobs", jobs]
+            assert cli.main(argv) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        single = run("single", "1")
+        outcomes = force_two_parts(monkeypatch)
+        assert run("forked-1", "1") == single
+        assert run("forked-2", "2") == single
+        assert outcomes == [True, True]
+        assert_no_child()
+
+    @pytest.mark.parametrize("child", ["parses", "warns"])
+    def test_cli_prints_one_line(self, tmp_path, child):
+        """A two-process `scorelink experiment`, run as its own process,
+        prints its one stdout line and nothing on stderr, also when the
+        child's part fails."""
+        data = tmp_path / "german.csv"
+        data.write_bytes(GERMAN_CSV.read_bytes())
+        script = f"""
+import os, sys, warnings
+from scorelink import cli, dataset
+dataset._FORK_BYTES = 0
+os.sched_getaffinity = lambda pid: {{0, 1}}
+parse, parent, ran = dataset._parse_in_two, os.getpid(), []
+def parse_in_two(*args):
+    table = parse(*args)
+    ran.append(table is not None)
+    return table
+dataset._parse_in_two = parse_in_two
+if {child == "warns"!r}:
+    lines = dataset._parse_lines
+    def parse_lines(*args):
+        if os.getpid() != parent:
+            warnings.warn("from the child")
+        return lines(*args)
+    dataset._parse_lines = parse_lines
+code = cli.main(["experiment", "--data", {str(data)!r}, "--out", {str(tmp_path / "out")!r},
+                 "--sizes", "50", "--repetitions", "2"])
+sys.exit(code or (0 if ran == [{child == "parses"!r}] else 7))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(dataset_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line) == {"out": str(tmp_path / "out"), "failures": 0}
 
 
 class TestDrawSplit:

@@ -360,7 +360,10 @@ def main(argv=None) -> int:
     handler, _, _, _, options = _COMMANDS[args.command]
     try:
         vars(args).update(_merged(args, options))
-        return handler(args)
+        # stderr holds one JSON line or nothing; the engine and the checks
+        # on its results handle an overflow on finite cells near the largest double
+        with np.errstate(all="ignore"):
+            return handler(args)
     except _UsageError as exc:
         _fail(USAGE_ERROR, str(exc))
     except DataError as exc:

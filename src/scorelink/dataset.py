@@ -50,6 +50,7 @@ import math
 import mmap
 import os
 import signal
+import threading
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -371,14 +372,16 @@ def _scan(path: Path, skip: int) -> _Body | None:
 
 def _two_parts(body: _Body | None) -> bool:
     """Whether to parse ``body`` in two processes: it is plain and large,
-    two CPUs are usable, and forking is this platform's default way to
-    start a process."""
+    two CPUs are usable, forking is this platform's default way to start
+    a process, and this process runs no other Python thread, one that
+    could hold a lock at the fork that the child would then wait on."""
     if not (body is not None and body.plain and body.size >= _FORK_BYTES and hasattr(os, "fork")):
         return False
     import multiprocessing  # here, not at import: it adds about 6 ms to importing scorelink
 
     return (
         multiprocessing.get_all_start_methods()[0] == "fork"
+        and threading.active_count() == 1
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
     )

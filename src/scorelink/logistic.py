@@ -409,12 +409,11 @@ def maximize_logistic_batch(
     (B, p) array, so that each member's products with the design see the
     layout of the member alone, whatever the layout of ``start``. A start
     near the optimum, such as a fit of most of the same rows, saves
-    iterations and moves only the last bits of the answer. A step solves
-    the Newton system once, when a Cholesky factorization shows the
-    information positive definite, falling back to least squares and then
-    to the gradient if that fails, and takes the gradient when the result
-    is not an ascent direction; step-halving then enforces the Armijo
-    condition.
+    iterations and moves only the last bits of the answer. A step is one
+    LU solve of the Newton system, falling back to least squares and then
+    to the gradient for a member whose LU factorization fails (see
+    :func:`_newton_steps`), and takes the gradient when the result is not
+    an ascent direction; step-halving then enforces the Armijo condition.
     The result holds member b's fields in row b, each bitwise those of the
     batch holding member b alone: ``x``, its last point, ``converged`` and
     ``gradient_norm`` there, and ``iterations``, the Newton steps it
@@ -533,15 +532,14 @@ def _compact(keep: np.ndarray, *stacks: np.ndarray) -> None:
 def _newton_steps(information: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve information @ step = grad for each member of a stack.
 
-    The Cholesky factorization only gates the solve: it succeeds when
-    every member's information is positive definite, and then one LU
-    solve of the stack gives the steps. A member whose factorization, or
-    solve, fails takes a least-squares step, or the gradient if that fails
-    too. A batched call fails for the whole stack, so the stack is halved
-    until each failing member is alone.
+    One LU solve of the stack gives the steps. It fails for the whole
+    stack when LU fails for one member, as on an exactly singular one, so
+    the stack is then halved until each failing member is alone. That
+    member takes a least-squares step, or the gradient if its information
+    is not finite (LAPACK's least squares would print an error to stdout
+    and fail) or the least-squares solve fails.
     """
     try:
-        np.linalg.cholesky(information)
         return np.linalg.solve(information, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
@@ -550,10 +548,12 @@ def _newton_steps(information: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [_newton_steps(information[:mid], grad[:mid]), _newton_steps(information[mid:], grad[mid:])]
         )
-    try:
-        return np.linalg.lstsq(information[0], grad[0], rcond=None)[0][None]
-    except np.linalg.LinAlgError:
-        return grad.copy()
+    if np.isfinite(information).all():
+        try:
+            return np.linalg.lstsq(information[0], grad[0], rcond=None)[0][None]
+        except np.linalg.LinAlgError:
+            pass
+    return grad.copy()
 
 
 def _check_dimensions(params: LogisticParams, sample: LabeledSample) -> None:

@@ -627,6 +627,29 @@ class TestExitCodes:
         assert error == {"error": message, "code": 3}
         assert not out.exists()
 
+    def test_huge_finite_cells_print_no_warning(self, german_csv, tmp_path):
+        """Cells near the largest double are accepted, and the fit's products
+        overflow on them; no warning of it reaches stderr. ``fit`` leaves
+        stderr empty, and ``experiment``, whose source fit then does not
+        converge, writes one JSON line with code 4."""
+        header, *rows = german_csv.read_text().splitlines()
+        column = header.split(",").index("laufzeit")
+        path = tmp_path / "huge.csv"
+        with path.open("w") as f:
+            print(header, file=f)
+            for row in rows:
+                cells = row.split(",")
+                cells[column] = repr(float(cells[column]) * 1e200)
+                print(",".join(cells), file=f)
+        fit = run_cli("fit", "--data", str(path))
+        assert (fit.returncode, fit.stderr) == (0, "")
+        assert json.loads(fit.stdout)["converged"] is False
+        proc = run_cli("experiment", "--data", str(path), "--out", str(tmp_path / "out"),
+                       "--sizes", "50", "--repetitions", "2")
+        assert (proc.returncode, proc.stdout) == (4, "")
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {"error": "source fit did not converge", "code": 4}
+
     def test_error_output_is_single_json_line(self, tmp_path):
         proc = run_cli("fit", "--data", str(tmp_path / "nope.csv"))
         lines = proc.stderr.strip().splitlines()

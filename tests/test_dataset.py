@@ -846,6 +846,28 @@ class TestTwoProcessParse:
         assert_bitwise(load_csv(path), expected)
         assert_no_child()
 
+    def test_no_fork_beside_another_thread(self, tmp_path, monkeypatch):
+        """While a second Python thread runs, the body is parsed in this
+        process alone: a child forked then could wait forever on a lock
+        that thread held at the fork."""
+        path = tmp_path / "data.csv"
+        path.write_text(plain_text(60), encoding="utf-8")
+        expected = load_csv(path)
+        outcomes = force_two_parts(monkeypatch)
+        forbid_fork(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            sample = load_csv(path)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert_bitwise(sample, expected)
+        assert outcomes == []
+        assert_no_child()
+
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_interrupt_kills_and_reaps_the_child(self, tmp_path, monkeypatch, two_parts, error):
         """An exception in this process's part ends the child at once (it

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import tracemalloc
@@ -366,8 +367,8 @@ def newton_stacks(draw):
     """A stack of logistic problems and the settings shared by its members.
 
     "zero-column" has an all-zero design column, so at ridge 0 its
-    information is singular and the Cholesky step falls back to least
-    squares; "flat" has an all-zero design and converges at the start;
+    information is singular and the LU step falls back to least squares;
+    "flat" has an all-zero design and converges at the start;
     "overflow" is separated by a column of size 1e200, whose squared
     gradient overflows, so its line search reaches the step floor; "slow"
     is separated by a column of size 1e50 and runs into the iteration cap.
@@ -419,7 +420,6 @@ def reference_newton(design, labels, offset, penalty, center, start, max_iterati
 
     def solve(hess, grad):
         try:
-            np.linalg.cholesky(hess)  # positive definite, or the fallbacks
             return np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             pass
@@ -793,3 +793,28 @@ class TestNewtonSteps:
         assert_same_bits(steps[3], lstsq(information[3], grad[3], rcond=None)[0])
         for b in (0, 1, 2, 4):
             assert_same_bits(steps[b], np.linalg.solve(information[b], grad[b]))
+
+    def test_indefinite_member_takes_the_solve(self, rng):
+        """A symmetric, nonsingular but indefinite member is solved by LU
+        with the rest of the stack, not sent to least squares: every step
+        is bitwise that of np.linalg.solve on its own member."""
+        information, grad = information_stack(rng, 4, 2)
+        information[2] = [[1.0, 2.0], [2.0, 1.0]]
+        steps = logistic_module._newton_steps(information, grad)
+        for b in range(4):
+            assert_same_bits(steps[b], np.linalg.solve(information[b], grad[b]))
+
+    def test_non_finite_member_takes_its_gradient_silently(self, capfd):
+        """A member whose information is not finite, and whose LU fails,
+        takes its gradient without least squares, whose LAPACK routine
+        would print to the process's standard output; nothing reaches
+        either descriptor."""
+        information = np.array([[[2.0, 0.5], [0.5, 1.0]], [[np.inf, 0.0], [0.0, 0.0]]])
+        grad = np.array([[1.0, 1.0], [3.0, 4.0]])
+        steps = logistic_module._newton_steps(information, grad)
+        libc = ctypes.CDLL(None)
+        libc.fflush.argtypes, libc.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+        libc.fflush(None)  # C stdio buffers what LAPACK prints
+        assert capfd.readouterr() == ("", "")
+        assert_same_bits(steps[0], np.linalg.solve(information[0], grad[0]))
+        assert_same_bits(steps[1], grad[1])

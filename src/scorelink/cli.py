@@ -38,6 +38,7 @@ from .exceptions import DataError, NumericalError
 from .experiment import (
     ExperimentConfig,
     emit_roc_suite,
+    roc_test_split,
     run_experiment,
     write_experiment_outputs,
 )
@@ -290,6 +291,7 @@ def _cmd_experiment(args) -> int:
         threshold=args.threshold,
         fit=_fit_config(args),
     )
+    roc_test_split(target, config)  # a ROC split of one class fails before any fit
     result = run_experiment(source, target, config, jobs=args.jobs)
     write_experiment_outputs(
         result,

@@ -29,9 +29,12 @@ The loaders hand out the parsed table's own buffer. :func:`load_csv`
 gathers the feature columns over its front, in place, after copying the
 labels out. :func:`load_subpopulations` copies the labels and the small
 target side out, then gathers the source rows there. A source sample
-thus sits in the parse buffer, whose unused tail, the share of the label
+thus sits in the parse buffer. Its unused tail, the share of the label
 and split columns and of the target rows (about 2 of 18 MB on a
-100,000-row source with 20 features), lives as long as the source does.
+100,000-row source with 20 features), lives as long as the source does
+when one process parsed the body; a shared mapping from two processes
+hands its whole pages past the features back to the system
+(``madvise(MADV_REMOVE)``, where it is to be had).
 :func:`split_by_account_status` copies, because its caller owns the
 sample.
 
@@ -162,11 +165,12 @@ def load_csv(path: str | Path, target_column: str = DEFAULT_TARGET_COLUMN) -> La
     The features are the parsed table's own buffer, the label column
     gathered out in place.
     """
-    table, header = _read_table(path, target_column)
+    table, header, mapping = _read_table(path, target_column)
     label = header.index(target_column)
     labels = table[:, label].astype(int)
     keep = [j for j in range(len(header)) if j != label]
     features = _gather_in_place(table, np.ones(len(table), dtype=bool), keep)
+    _release_tail(mapping, features.nbytes)
     return LabeledSample(features, labels, tuple(header[j] for j in keep))
 
 
@@ -184,7 +188,7 @@ def load_subpopulations(
     source rows are then gathered over the front of the table's own
     buffer, so the table and a copy of the source never coexist.
     """
-    table, header = _read_table(path, target_column)
+    table, header, mapping = _read_table(path, target_column)
     label = header.index(target_column)
     _split_index(tuple(h for h in header if h != target_column), split_column)
     split = header.index(split_column)
@@ -194,7 +198,9 @@ def load_subpopulations(
     labels = table[:, label].astype(int)
     target = LabeledSample(table[np.ix_(~source, keep)], labels[~source], names)
     labels = labels[source]
-    return LabeledSample(_gather_in_place(table, source, keep), labels, names), target
+    features = _gather_in_place(table, source, keep)
+    _release_tail(mapping, features.nbytes)
+    return LabeledSample(features, labels, names), target
 
 
 def _gather_in_place(table: np.ndarray, rows: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -220,8 +226,25 @@ def _gather_in_place(table: np.ndarray, rows: np.ndarray, cols: list[int]) -> np
     return out
 
 
-def _read_table(path: str | Path, target_column: str) -> tuple[np.ndarray, list[str]]:
-    """The parsed C-contiguous table and its header: every column, the
+def _release_tail(mapping: mmap.mmap | None, used: int) -> None:
+    """Hand the whole pages of the shared ``mapping`` past its first
+    ``used`` bytes back to the system; they then read as zeros. Skipped
+    where there is no mapping, or ``madvise(MADV_REMOVE)`` is not to be
+    had or fails."""
+    start = -(-used // mmap.PAGESIZE) * mmap.PAGESIZE
+    if mapping is None or not hasattr(mmap, "MADV_REMOVE") or start >= len(mapping):
+        return
+    try:
+        mapping.madvise(mmap.MADV_REMOVE, start)
+    except OSError:
+        pass
+
+
+def _read_table(
+    path: str | Path, target_column: str
+) -> tuple[np.ndarray, list[str], mmap.mmap | None]:
+    """The parsed C-contiguous table, its header and, where two processes
+    parsed it, the shared mapping that holds it: every column, the
     target's cells 0 or 1 and every other cell finite."""
     path = Path(path)
     try:
@@ -244,9 +267,10 @@ def load_german_credit() -> LabeledSample:
 _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str]]:
+def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str], mmap.mmap | None]:
     """Parse the file at ``path``, open as the text stream ``f`` (opened
-    with ``newline=""``), into :func:`_read_table`'s table and header."""
+    with ``newline=""``), into :func:`_read_table`'s table, header and
+    mapping."""
     origin = str(path)
     reader = csv.reader(f)
     try:
@@ -266,7 +290,9 @@ def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str]
     # line_num does. ``f`` stays past the header for the row loop.
     if f.seekable() and path.suffix not in _DECOMPRESSED_SUFFIXES:
         body = _scan(path, reader.line_num)
-        table = _parse_in_two(path, body, len(header)) if _two_parts(body) else None
+        table = mapping = None
+        if _two_parts(body):
+            table, mapping = _parse_in_two(path, body, len(header)) or (None, None)
         if table is None:
             with warnings.catch_warnings():  # a header-only file is reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -288,9 +314,9 @@ def _parse_csv(f, target_column: str, path: Path) -> tuple[np.ndarray, list[str]
             and np.all((table[:, target_idx] == 0) | (table[:, target_idx] == 1))
             and np.isfinite(table).all()  # with 0/1 labels, a non-finite cell is a feature's
         ):
-            return table, header
-        del table  # not held through the row loop
-    return _parse_rows(reader, header, target_idx, origin), header
+            return table, header, mapping
+        del table, mapping  # not held through the row loop
+    return _parse_rows(reader, header, target_idx, origin), header, None
 
 
 _LOADTXT = dict(
@@ -390,9 +416,9 @@ def _two_parts(body: _Body | None) -> bool:
 _PARENT, _CHILD = 1, 2  # owner byte of a part: 0 while no process holds it
 
 
-def _parse_in_two(path: Path, body: _Body, width: int) -> np.ndarray | None:
-    """The plain body's table, ``body.lines`` x ``width``, or None if a
-    part of it fails.
+def _parse_in_two(path: Path, body: _Body, width: int) -> tuple[np.ndarray, mmap.mmap] | None:
+    """The plain body's table, ``body.lines`` x ``width``, and the mapping
+    that holds it, or None if a part of it fails.
 
     The table is an anonymous shared mapping, followed by one owner byte
     per part. This process claims and parses parts from the first on, a
@@ -435,7 +461,7 @@ def _parse_in_two(path: Path, body: _Body, width: int) -> np.ndarray | None:
         if not done:
             os.kill(pid, signal.SIGKILL)
         done = os.waitpid(pid, 0)[1] == 0 and done
-    return table if done else None
+    return (table, shared) if done else None
 
 
 def _parse_parts(

@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .dataset import LabeledSample, SplitPlan, split_rows
 from .evaluation import RocCurve, _rates, _tally, roc, write_roc_csv, write_roc_svg
-from .exceptions import NumericalError
+from .exceptions import DataError, NumericalError
 from .links import (
     LinkModelKind,
     _chunks,
@@ -287,12 +287,7 @@ def run_experiment(
     The units run in a pool of ``min(jobs, units)`` worker processes, or
     in this process when that is 1.
     """
-    for n in config.learning_sizes:  # each must leave a non-empty test split
-        if not 1 <= n < target.n_records:
-            raise ValueError(
-                f"learning size {n} must be at least 1 and below the target size "
-                f"{target.n_records}"
-            )
+    _check_learning_sizes(config.learning_sizes, target)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     source_fit = fit_mle(source, config.fit)
@@ -319,6 +314,36 @@ def run_experiment(
     )
     tables = _aggregate(records, config)
     return ExperimentResult(config, source_fit, tuple(records), tables)
+
+
+def _check_learning_sizes(sizes, target: LabeledSample) -> None:
+    for n in sizes:  # each must leave a non-empty test split
+        if not 1 <= n < target.n_records:
+            raise ValueError(
+                f"learning size {n} must be at least 1 and below the target size "
+                f"{target.n_records}"
+            )
+
+
+def roc_test_split(
+    target: LabeledSample, config: ExperimentConfig, learning_size: int | None = None
+) -> LabeledSample:
+    """The test rows that the ROC suite scores: the repetition-0 split's at
+    ``learning_size`` (by default ``config.roc_learning_size``).
+
+    It needs no fit, so a run checks it first: a learning size outside
+    the target raises ValueError as :func:`run_experiment` does, and rows
+    of a single class, on which no ROC curve exists, raise DataError.
+    """
+    n = config.roc_learning_size if learning_size is None else learning_size
+    _check_learning_sizes((n,), target)
+    test = target.subset(split_rows(target, SplitPlan(n, config.repetitions, config.seed), 0)[1])
+    if test.labels.min() == test.labels.max():
+        raise DataError(
+            f"ROC requires both classes present: the test rows of repetition 0 at "
+            f"learning size {n} hold one class"
+        )
+    return test
 
 
 def _aggregate(records, config: ExperimentConfig) -> dict[str, ResultTable]:
@@ -357,16 +382,17 @@ def emit_roc_suite(
     """One ROC curve per model on the repetition-0 split at ``learning_size``,
     from the fits the sweep ``result`` made there (by default the sweep of
     ``config`` at that one size and one repetition: the same split). A
-    failed fit raises NumericalError. When ``out_dir`` is given, writes one
-    ``roc_<model>.csv`` per model and the combined ``roc_all.svg``.
+    split of a single class raises DataError before any fit (see
+    :func:`roc_test_split`), a failed fit NumericalError. When ``out_dir``
+    is given, writes one ``roc_<model>.csv`` per model and the combined
+    ``roc_all.svg``.
     """
     n = config.roc_learning_size if learning_size is None else learning_size
+    if result is not None and n not in result.config.learning_sizes:
+        raise ValueError(f"learning size {n} was not swept")
+    test = roc_test_split(target, config if result is None else result.config, n)
     if result is None:
         result = run_experiment(source, target, replace(config, learning_sizes=(n,), repetitions=1))
-    elif n not in result.config.learning_sizes:
-        raise ValueError(f"learning size {n} was not swept")
-    plan = SplitPlan(n, result.config.repetitions, result.config.seed)
-    test = target.subset(split_rows(target, plan, 0)[1])
 
     curves = {}
     for record in (r for r in result.records if (r.learning_size, r.repetition) == (n, 0)):

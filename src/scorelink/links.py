@@ -505,7 +505,8 @@ def _pooled_fits(source, features, labels, fitted, config):
     No pooled design exists: each chunk hands the engine the source
     features once, as the rows every member shares, and a copy of its own
     members' learning features as their own rows, with the implicit
-    intercept. The pooled labels are allocated once per block, with the
+    intercept. The pooled labels are allocated once per block, as bytes
+    (the engine reads 0 and 1 of any dtype as the same doubles), with the
     source labels written in once; a chunk overwrites only the learning
     labels. The engine's compaction moves whole member rows, and every
     member has the same source labels, so they stay intact.
@@ -518,7 +519,7 @@ def _pooled_fits(source, features, labels, fitted, config):
     # members' vectors and learning rows: a member counted at half its
     # pooled cells keeps a German M7 block's traced peak within about 1.2 MiB
     chunks = _chunks(len(fitted), (m + n) * (d + 1) // 2)
-    pooled_labels = np.empty((max(map(len, chunks)), m + n))
+    pooled_labels = np.empty((max(map(len, chunks)), m + n), dtype=np.int8)
     pooled_labels[:, :m] = source.sample.labels
     x = np.empty((len(fitted), d + 1))
     converged = np.empty(len(fitted), dtype=bool)

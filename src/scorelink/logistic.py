@@ -47,12 +47,15 @@ _NOISE_EPS = 1e-13
 def sigmoid(eta):
     """Numerically stable logistic function, clipped into (0, 1)."""
     eta = np.asarray(eta, dtype=float)
-    return _probability(eta, _exp_neg_abs(eta))
+    rows = np.atleast_1d(eta)
+    return _probability(rows, _exp_neg_abs(rows)).reshape(eta.shape)
 
 
 def _exp_neg_abs(eta: np.ndarray) -> np.ndarray:
-    """exp(-|eta|), which never overflows."""
-    return np.exp(-np.abs(eta))
+    """exp(-|eta|), which never overflows, computed in its one new array."""
+    e = np.abs(eta, out=np.empty(eta.shape))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
 
 
 @dataclass(frozen=True)
@@ -169,17 +172,34 @@ def _softplus(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _probability(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     """sigmoid(eta) from ``e = exp(-|eta|)``: 1 / (1 + e) for eta >= 0 and
-    e / (1 + e) below, clipped into (0, 1)."""
-    prob = np.where(eta >= 0, 1.0, e)
-    prob /= 1.0 + e
+    e / (1 + e) below, clipped into (0, 1). As e lies in [0, 1], the
+    numerator is max(e, [eta >= 0])."""
+    prob = np.empty(e.shape)
+    for rows in _row_blocks(prob):
+        out = prob[..., rows]
+        np.maximum(e[..., rows], eta[..., rows] >= 0, out=out)
+        out /= e[..., rows] + 1.0
     np.maximum(prob, _P_LO, out=prob)
     return np.minimum(prob, _P_HI, out=prob)
 
 
 def _log_likelihood(labels: np.ndarray, eta: np.ndarray, e: np.ndarray) -> np.ndarray:
-    terms = labels * eta
-    terms -= _softplus(eta, e)
+    """sum_i [labels_i eta_i - softplus(eta_i)] over the last axis: the
+    terms are written into one array and summed whole."""
+    terms = np.empty(eta.shape)
+    for rows in _row_blocks(terms):
+        np.multiply(labels[..., rows], eta[..., rows], out=terms[..., rows])
+        terms[..., rows] -= _softplus(eta[..., rows], e[..., rows])
     return terms.sum(axis=-1)
+
+
+def _row_blocks(vectors: np.ndarray) -> list[slice]:
+    """Slices of the last axis of ``vectors`` that hold at most
+    ``_BLOCK_CELLS`` of its cells each (at least one row): the elementwise
+    kernels write their result a block at a time, so that each of their
+    temporaries stays within the budget."""
+    height = max(1, _BLOCK_CELLS // max(1, vectors[..., :1].size))
+    return [slice(lo, lo + height) for lo in range(0, vectors.shape[-1], height)]
 
 
 def _parts(design: np.ndarray, shared: np.ndarray | None) -> tuple[np.ndarray, ...]:
@@ -246,7 +266,14 @@ def _gradient(design, labels, eta, e, intercept=False, shared=None):
 # own). The engine copies a shared part within the budget column-major,
 # once per call. :func:`_row_sum` keeps z within the budget per member at
 # any design height by summing the gradient and the information over row
-# blocks. The experiment's scoring pass gathers test
+# blocks, and :func:`_information` takes the weights of a block's rows
+# there. What may still span a whole member is a vector of its rows, and a
+# pass holds few: eta and e = exp(-|eta|) at the point and at one
+# line-search trial, the labels, the probabilities from the gradient to the
+# information, and one vector whose sum over the whole row fixes the bits,
+# the likelihood terms or the residual. The elementwise kernels write theirs
+# a row block at a time (:func:`_row_blocks`), so that each temporary they
+# make stays within the budget. The experiment's scoring pass gathers test
 # features and scores in chunks within the same budget.
 
 
@@ -294,31 +321,34 @@ def _information(design, prob, intercept=False, shared=None) -> np.ndarray:
     z^T sqrt(w) and sum(w); on the M2-M6 designs it took the time, and gave
     the bits, of the row-major copy. The copy is written for a group of
     members at a time, as many as fit ``_BLOCK_CELLS`` together; each
-    member's product is the same BLAS call in any group.
+    member's product is the same BLAS call in any group. The weights
+    sqrt(prob * (1 - prob)) are taken for the block's rows of the group.
     """
-    root = np.sqrt(prob * (1.0 - prob))
 
-    def gram(pieces, spans, root):
+    def gram(pieces, spans, prob):
         lo, hi = spans[0].start, spans[-1].stop
+        root = 1.0 - prob[..., lo:hi]
+        root *= prob[..., lo:hi]
+        np.sqrt(root, out=root)
         zt = np.empty(root.shape[:-1] + (intercept + pieces[0].shape[-1], hi - lo))
         if intercept:
-            zt[..., 0, :] = root[..., lo:hi]
+            zt[..., 0, :] = root
         for x, rows in zip(pieces, spans):
-            np.multiply(x.swapaxes(-1, -2), root[..., None, rows],
-                        out=zt[..., intercept:, rows.start - lo:rows.stop - lo])
+            local = slice(rows.start - lo, rows.stop - lo)
+            np.multiply(x.swapaxes(-1, -2), root[..., None, local], out=zt[..., intercept:, local])
         return zt @ zt.swapaxes(-1, -2)
 
     def block(pieces, spans):
         # members in groups whose weighted copies fit the budget together
         p = intercept + pieces[0].shape[-1]
         group = max(1, _BLOCK_CELLS // max(1, p * (spans[-1].stop - spans[0].start)))
-        if root.ndim < 2 or len(root) <= group:
-            return gram(pieces, spans, root)
-        out = np.empty((len(root), p, p))
-        for start in range(0, len(root), group):
+        if prob.ndim < 2 or len(prob) <= group:
+            return gram(pieces, spans, prob)
+        out = np.empty((len(prob), p, p))
+        for start in range(0, len(prob), group):
             members = slice(start, start + group)
             out[members] = gram([x if len(x) == 1 else x[members] for x in pieces], spans,
-                                root[members])
+                                prob[members])
         return out
 
     return _row_sum(_parts(design, shared), block)
@@ -362,7 +392,7 @@ def maximize_logistic(
     n, _ = design.shape
     batch = maximize_logistic_batch(
         design[None],
-        np.asarray(labels, dtype=float)[None],
+        np.asarray(labels)[None],
         None if offset is None else np.broadcast_to(np.asarray(offset, dtype=float), (1, n)),
         penalty,
         center,
@@ -513,6 +543,7 @@ def maximize_logistic_batch(
             obj[accept] = trial_obj[accept]
             eta[accept] = trial_eta[accept]
             e[accept] = trial_e[accept]
+            del trial_eta, trial_e  # one trial pair at a time, none through the next pass
             stuck &= ~accept
             if not stuck.any():
                 break

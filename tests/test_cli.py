@@ -572,6 +572,27 @@ class TestExitCodes:
         assert error == {"error": f"--out {out}: {file} is not a directory", "code": 2}
         assert file.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, sizes", [
+        ("experiment", ["--sizes", "50,273", "--repetitions", "50"]),
+        ("roc", ["--n", "273"]),
+    ])
+    def test_single_class_roc_split_fails_before_any_fit(self, german_csv, tmp_path, monkeypatch,
+                                                         capsys, command, sizes):
+        """At a ROC learning size of 273 of the 274 target rows, the ROC
+        suite's test split is one row, of one class: a data error naming
+        the size, before any fit, and nothing is written."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("fitted before the ROC split was checked")
+
+        monkeypatch.setattr(experiment_module, "fit_mle", never)
+        out = tmp_path / "out"
+        error = main_fails(capsys, command, "--data", german_csv, "--out", out, *sizes)
+        message = ("ROC requires both classes present: the test rows of repetition 0 at "
+                   "learning size 273 hold one class")
+        assert error == {"error": message, "code": 3}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import mmap
 import multiprocessing
 import os
 import re
@@ -674,6 +675,38 @@ class TestTwoProcessParse:
         assert single[0].n_records == 3000
         assert_no_child()
 
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_REMOVE"), reason="no madvise(MADV_REMOVE)")
+    @pytest.mark.parametrize("load", ["load_csv", "load_subpopulations"])
+    def test_tail_pages_are_given_back(self, tmp_path, monkeypatch, load):
+        """Once the features are gathered, the whole pages of the shared
+        mapping past them read as zeros, given back to the system, while
+        the samples stay bitwise those of the single-process route."""
+        path = tmp_path / "mixture.csv"
+        path.write_text(plain_text(3000, seed=7), encoding="utf-8")
+
+        def samples():
+            loaded = getattr(dataset_module, load)(path)
+            return loaded if isinstance(loaded, tuple) else (loaded,)
+
+        single = samples()
+        force_two_parts(monkeypatch)
+        parse, mappings = dataset_module._parse_in_two, []
+
+        def keeping(*args):
+            shared = parse(*args)
+            mappings.append(shared[1])
+            return shared
+
+        monkeypatch.setattr(dataset_module, "_parse_in_two", keeping)
+        forked = samples()
+        for sample, expected in zip(forked, single):
+            assert_bitwise(sample, expected)
+        (mapping,) = mappings
+        start = -(-forked[0].features.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        assert len(mapping) - start >= 4 * mmap.PAGESIZE
+        assert not any(mapping[start:])
+        assert_no_child()
+
     def test_processes_meet_once(self, tmp_path, monkeypatch):
         """With hundreds of parts of a few lines each, the two processes
         claim parts until they meet, pass after pass: every part is
@@ -686,8 +719,8 @@ class TestTwoProcessParse:
         assert len(body.parts) > 300
         expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         for _ in range(20):
-            table = dataset_module._parse_in_two(path, body, 4)
-            owner = list(table.base.base[table.nbytes :])  # the mapping past the table
+            table, mapping = dataset_module._parse_in_two(path, body, 4)
+            owner = list(mapping[table.nbytes :])  # the mapping past the table
             parent, child = dataset_module._PARENT, dataset_module._CHILD
             assert owner == sorted(owner, key=[parent, child].index) and owner[-1] == child
             assert table.tobytes() == expected.tobytes()
@@ -721,8 +754,8 @@ class TestTwoProcessParse:
             for rows in partitions:
                 parts = ((0, body.start), *((row, starts[row]) for row in rows),
                          (len(table), starts[-1]))
-                got = dataset_module._parse_in_two(path, body._replace(parts=parts),
-                                                   table.shape[1])
+                got, _ = dataset_module._parse_in_two(path, body._replace(parts=parts),
+                                                      table.shape[1])
                 assert got.tobytes() == expected.tobytes()
         assert_no_child()
 

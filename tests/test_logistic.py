@@ -611,6 +611,52 @@ class TestInformation:
         assert peak < 4 * 2**20
 
 
+class TestPassMemory:
+    """A Newton pass over a long design holds few vectors of its length:
+    eta and exp(-|eta|) at the point and at one line-search trial, the
+    likelihood terms or the residual, and the probabilities. Every other
+    temporary is a block within ``_BLOCK_CELLS``."""
+
+    ROWS, D = 200_000, 20
+    BOUND = 7.0  # traced peak over one row vector, ROWS x 8 bytes
+
+    def sample(self, scale):
+        rng = np.random.default_rng(29)
+        features = rng.normal(size=(self.ROWS, self.D))
+        eta = features @ rng.normal(scale=scale, size=self.D)
+        labels = (rng.random(self.ROWS) < sigmoid(eta)).astype(int)
+        return LabeledSample(features, labels, tuple(f"x{j}" for j in range(self.D)))
+
+    def vectors_at_peak(self, fit):
+        tracemalloc.start()
+        try:
+            result = fit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak / (self.ROWS * 8)
+
+    def test_fit_mle(self):
+        """fit_mle on a 200,000 x 20 sample peaks at 5.7 row vectors, all
+        of its steps full ones; 8.0 with full-length temporaries in the
+        kernels and a float copy of the labels."""
+        sample = self.sample(0.3)
+        report, vectors = self.vectors_at_peak(lambda: fit_mle(sample))
+        assert report.converged
+        assert vectors < self.BOUND
+
+    def test_halving_line_search(self):
+        """From a far start, where the line search halves its steps, the
+        engine peaks at 5.7 row vectors: it holds one trial pair at a
+        time, and none through the next pass; 10.0 when a failed trial
+        pair lived on."""
+        sample = self.sample(3.0)
+        result, vectors = self.vectors_at_peak(lambda: maximize_logistic(
+            sample.features, sample.labels, start=np.full(self.D, 4.0)))
+        assert result.converged and result.iterations > 5
+        assert vectors < self.BOUND
+
+
 finite_etas = hnp.arrays(
     float, st.integers(1, 60), elements=st.floats(allow_nan=False, allow_infinity=False)
 )
